@@ -9,7 +9,7 @@ Example:
 import argparse
 import sys
 
-from mmcodes.search import SearchConfig, run_search
+from mmcodes.search import SearchConfig, SearchError, run_search
 
 STRUCTURED = (
     "(1+v_a)(1+v_b v_c)",
@@ -44,18 +44,21 @@ def main() -> int:
         for row in (args.orders or ["2,2,2,2", "2,2,2,3"])
     )
     lo, hi = (int(v) for v in args.term_range.split(","))
-    config = SearchConfig(
-        t=args.t,
-        orders=orders,
-        term_range=(lo, hi),
-        require_k_min=args.k_min,
-        require_d_min=args.d_min,
-        distance_budget=(args.w_exhaustive, args.iterations),
-        max_candidates=args.max_candidates,
-        seed=args.seed,
-        workers=args.workers,
-        structured_families=STRUCTURED if args.structured else None,
-    )
+    try:
+        config = SearchConfig(
+            t=args.t,
+            orders=orders,
+            term_range=(lo, hi),
+            require_k_min=args.k_min,
+            require_d_min=args.d_min,
+            distance_budget=(args.w_exhaustive, args.iterations),
+            max_candidates=args.max_candidates,
+            seed=args.seed,
+            workers=args.workers,
+            structured_families=STRUCTURED if args.structured else None,
+        )
+    except SearchError as exc:
+        ap.error(str(exc))
     if args.out:
         with open(args.out, "w") as sink:
             accepted = run_search(config, sink)

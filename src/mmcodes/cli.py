@@ -69,13 +69,16 @@ def config_from_dict(doc: dict, default_name: str = "") -> BuildConfig:
     if len(gens) != t:
         raise ConfigError(f"config has {len(gens)} generators but t={t}")
     variables = doc.get("variables")
+    q_override = doc.get("q_override")
+    if q_override is not None and type(q_override) is not int:
+        raise ConfigError(f"q_override must be an integer, got {q_override!r}")
     return BuildConfig(
         name=str(doc.get("name", default_name)),
         t=t,
         orders=orders,
         generators=gens,
         variables=tuple(variables) if variables else None,
-        q_override=doc.get("q_override"),
+        q_override=q_override,
         published=doc.get("published"),
     )
 
@@ -255,7 +258,11 @@ def cmd_search(args, out) -> int:
             confinement_w_max=doc.get("confinement_w_max"),
             max_candidates=int(doc.get("max_candidates", 100)),
             seed=args.seed if args.seed is not None else int(doc.get("seed", 0)),
-            workers=args.workers or int(doc.get("workers", 1)),
+            workers=(
+                args.workers
+                if args.workers is not None
+                else int(doc.get("workers", 1))
+            ),
             structured_families=(
                 tuple(doc["structured_families"])
                 if doc.get("structured_families")
@@ -404,8 +411,32 @@ def cmd_table2(args, out) -> int:
 # ---- argument parsing -------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with a single line, without the usage banner."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+positive_int = _int_at_least(1)
+nonnegative_int = _int_at_least(0)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="mmcodes",
         description="Build and analyze multivariate multicycle CSS codes",
     )
@@ -413,7 +444,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument(
+            "--workers", type=positive_int, default=1,
+            help="number of RNG streams the randomized passes cycle through; "
+            "passes run sequentially",
+        )
 
     b = sub.add_parser("build", help="write check matrices and a manifest")
     b.add_argument("config")
@@ -427,33 +462,39 @@ def make_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("params", help="full parameter report as JSON")
     pa.add_argument("config")
-    pa.add_argument("--w-exhaustive", type=int, default=4, dest="w_exhaustive")
-    pa.add_argument("--iterations", type=int, default=0)
-    pa.add_argument("--confinement-w", type=int, default=None, dest="confinement_w")
-    pa.add_argument("--ss-w", type=int, default=None, dest="ss_w")
+    pa.add_argument(
+        "--w-exhaustive", type=positive_int, default=4, dest="w_exhaustive"
+    )
+    pa.add_argument("--iterations", type=nonnegative_int, default=0)
+    pa.add_argument(
+        "--confinement-w", type=positive_int, default=None, dest="confinement_w"
+    )
+    pa.add_argument("--ss-w", type=positive_int, default=None, dest="ss_w")
     common(pa)
     pa.set_defaults(func=cmd_params)
 
     d = sub.add_parser("distance", help="distance bounds for one error type")
     d.add_argument("config")
     d.add_argument("--type", choices=["X", "Z"], required=True)
-    d.add_argument("--w-exhaustive", type=int, default=4, dest="w_exhaustive")
-    d.add_argument("--iterations", type=int, default=0)
+    d.add_argument(
+        "--w-exhaustive", type=positive_int, default=4, dest="w_exhaustive"
+    )
+    d.add_argument("--iterations", type=nonnegative_int, default=0)
     common(d)
     d.set_defaults(func=cmd_distance)
 
     s = sub.add_parser("ssdist", help="single-shot distance bounds")
     s.add_argument("config")
     s.add_argument("--type", choices=["X", "Z"], required=True)
-    s.add_argument("--w-max", type=int, default=4, dest="w_max")
-    s.add_argument("--iterations", type=int, default=0)
+    s.add_argument("--w-max", type=positive_int, default=4, dest="w_max")
+    s.add_argument("--iterations", type=nonnegative_int, default=0)
     common(s)
     s.set_defaults(func=cmd_ssdist)
 
     c = sub.add_parser("confine", help="confinement profile")
     c.add_argument("config")
     c.add_argument("--type", choices=["X", "Z"], required=True)
-    c.add_argument("--w-max", type=int, default=4, dest="w_max")
+    c.add_argument("--w-max", type=positive_int, default=4, dest="w_max")
     c.add_argument("--mode", choices=["exact", "cluster"], default="exact")
     common(c)
     c.set_defaults(func=cmd_confine)
@@ -462,7 +503,7 @@ def make_parser() -> argparse.ArgumentParser:
     se.add_argument("config")
     se.add_argument("--out", default=None)
     se.add_argument("--seed", type=int, default=None)
-    se.add_argument("--workers", type=int, default=0)
+    se.add_argument("--workers", type=positive_int, default=None)
     se.set_defaults(func=cmd_search)
 
     e = sub.add_parser("export", help="export one matrix")
@@ -473,9 +514,13 @@ def make_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_export)
 
     t = sub.add_parser("table2", help="recompute bundled instance rows")
-    t.add_argument("rows", nargs="*", help="1-based row numbers; empty = all")
-    t.add_argument("--w-exhaustive", type=int, default=4, dest="w_exhaustive")
-    t.add_argument("--iterations", type=int, default=50)
+    t.add_argument(
+        "rows", nargs="*", type=positive_int, help="1-based row numbers; empty = all"
+    )
+    t.add_argument(
+        "--w-exhaustive", type=positive_int, default=4, dest="w_exhaustive"
+    )
+    t.add_argument("--iterations", type=nonnegative_int, default=50)
     common(t)
     t.set_defaults(func=cmd_table2)
 

@@ -14,7 +14,6 @@ Distance search works in two regimes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb, inf
 
 import numpy as np
@@ -181,39 +180,62 @@ def distance_exhaustive(
     return _min_logical(kv, rref(opp), w_max)
 
 
-def _isd_pass(
-    gen_dense: np.ndarray, rng: np.random.Generator, best_w: int
-) -> list[tuple[int, int]]:
-    """One information-set iteration: permute columns, row-reduce, and
-    return candidate (weight, support) pairs below the current best."""
-    k, n = gen_dense.shape
+# Byte cap on one block of row-pair XORs in ``_isd_pass``.
+ISD_PAIR_BLOCK_BYTES = 32 * 2**20
+
+
+def _isd_pass(gen_dense: np.ndarray, rng: np.random.Generator, best_w: int):
+    """One information-set iteration (Prange): permute columns, row-reduce,
+    and yield the rows and row pairs of the reduced generator with weight
+    below ``best_w`` as (weight, support) pairs, in ascending (weight,
+    support-int) order, supports in the original column order.
+
+    Weights come from popcounts of the packed words, all pairs at once (in
+    row blocks of at most ``ISD_PAIR_BLOCK_BYTES``).  Supports are un-permuted
+    lazily, one weight group at a time, so a caller that stops at the first
+    group it can no longer use never pays for the heavier ones.  Draws
+    exactly one ``rng.permutation(n)``.
+    """
+    n = gen_dense.shape[1]
     perm = rng.permutation(n)
-    packed = BitMatrix.from_dense(gen_dense[:, perm])
-    reduced = rref(packed)
-    rows = reduced.rref.row_ints()[: reduced.rank]
-    inv = np.empty(n, dtype=np.int64)
-    inv[perm] = np.arange(n)
-    out = []
+    reduced = rref(BitMatrix.from_dense(gen_dense[:, perm]))
+    r = reduced.rank
+    # Row r is all-zero: a single row i is the "pair" (i, r).
+    nw = reduced.rref.words.shape[1]
+    words = np.vstack([reduced.rref.words[:r], np.zeros((1, nw), np.uint64)])
+    cand_i, cand_j, cand_w = [], [], []
 
-    def push(v: int):
-        w = v.bit_count()
-        if 0 < w < best_w:
-            orig = 0
-            x = v
-            while x:
-                b = x & -x
-                orig |= 1 << int(perm[b.bit_length() - 1])
-                x ^= b
-            out.append((w, orig))
+    def keep(ii: np.ndarray, jj: np.ndarray):
+        w = np.bitwise_count(words[ii] ^ words[jj]).sum(axis=1, dtype=np.int64)
+        sel = (w > 0) & (w < best_w)
+        cand_i.append(ii[sel])
+        cand_j.append(jj[sel])
+        cand_w.append(w[sel])
 
-    for r in rows:
-        push(r)
-    nr = len(rows)
-    for i in range(nr):
-        ri = rows[i]
-        for j in range(i + 1, nr):
-            push(ri ^ rows[j])
-    return out
+    keep(np.arange(r), np.full(r, r))
+    block = max(1, ISD_PAIR_BLOCK_BYTES // (8 * nw * max(r, 1)))
+    for lo in range(0, r - 1, block):
+        ii, jj = np.triu_indices(min(block, r - 1 - lo), 1, r - lo)
+        keep(ii + lo, jj + lo)
+    ci, cj, cw = (np.concatenate(c) for c in (cand_i, cand_j, cand_w))
+    if cw.size == 0:
+        return
+    order = np.argsort(cw, kind="stable")
+    cuts = np.flatnonzero(np.diff(cw[order])) + 1
+    nbytes = (n + 7) // 8
+    for group in np.split(order, cuts):
+        vecs = words[ci[group]] ^ words[cj[group]]
+        bits = np.unpackbits(vecs.view(np.uint8), axis=1, bitorder="little")
+        orig = np.zeros((len(group), n), dtype=np.uint8)
+        orig[:, perm] = bits[:, :n]
+        buf = np.packbits(orig, axis=1, bitorder="little").tobytes()
+        sups = sorted(
+            int.from_bytes(buf[i : i + nbytes], "little")
+            for i in range(0, len(buf), nbytes)
+        )
+        w = int(cw[group[0]])
+        for sup in sups:
+            yield w, sup
 
 
 def distance_randomized(
@@ -227,9 +249,16 @@ def distance_randomized(
     """Randomized upper bound via information-set sampling: random column
     permutation, row reduction of the kernel generators, then single rows
     and row pairs as codeword candidates.  Deterministic given
-    (seed, workers)."""
+    (seed, workers).
+
+    ``workers`` only splits the randomness: pass ``it`` draws from stream
+    ``it mod workers``, seeded by (seed, stream).  Nothing runs
+    concurrently; the passes run one after another in this process.
+    """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     p, opp = _select_check_pair(code, err_type)
     gen = kernel_basis(p)
     if gen.rows == 0:
@@ -244,7 +273,9 @@ def distance_randomized(
         if done:
             break
         rng = streams[it % workers]
-        for w, sup in sorted(_isd_pass(gen_dense, rng, best_w)):
+        for w, sup in _isd_pass(gen_dense, rng, best_w):
+            if w > best_w:
+                break
             if w < best_w or (w == best_w and best_sup is not None
                               and _support_key(sup) < _support_key(best_sup)):
                 if not in_rowspace(opp_cache, sup):
@@ -290,8 +321,10 @@ def single_shot_distance(
     best_sup = None
     rng = np.random.default_rng([seed, 0])
     for _ in range(iterations):
-        for w, sup in sorted(_isd_pass(gen_dense, rng, best_w)):
-            if w < best_w and not in_rowspace(valid_cache, sup):
+        for w, sup in _isd_pass(gen_dense, rng, best_w):
+            if w >= best_w:
+                break
+            if not in_rowspace(valid_cache, sup):
                 best_w, best_sup = w, sup
     if best_sup is None:
         return bound

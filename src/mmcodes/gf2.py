@@ -3,11 +3,20 @@
 Rows are packed into uint64 words, LSB-first within each word; padding bits
 beyond ``cols`` are always zero.  Matrices are immutable after construction
 and safe to share across threads read-only.
+
+Row reduction runs on Python ints, one int per row with bit j holding column
+j.  The packed words are converted once with ``int.from_bytes``; each pivot
+column then costs one scan for the first row at or below the current rank
+with that bit set, and one list comprehension that XORs the pivot row into
+every other row holding the bit.  A row XOR is a single big-int operation
+however many words the row spans, so this beats per-column numpy calls on
+the matrix sizes the distance engines see (tens to a few hundred rows).
+The reduced rows are packed back once with ``int.to_bytes``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +43,25 @@ def _nwords(cols: int) -> int:
 
 def _popcount(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words)
+
+
+def _words_to_ints(words: np.ndarray) -> list[int]:
+    """Each row of packed words as one int, bit j = column j."""
+    step = words.shape[1] * 8
+    buf = words.astype("<u8", copy=False).tobytes()
+    return [
+        int.from_bytes(buf[i : i + step], "little")
+        for i in range(0, len(buf), step)
+    ]
+
+
+def _ints_to_words(row_ints, cols: int) -> np.ndarray:
+    """Inverse of ``_words_to_ints``: a fresh, writeable (rows, nwords)
+    uint64 array."""
+    nw = _nwords(cols)
+    buf = bytearray(b"".join(r.to_bytes(nw * 8, "little") for r in row_ints))
+    words = np.frombuffer(buf, dtype="<u8").reshape(len(row_ints), nw)
+    return words.astype(np.uint64, copy=False)
 
 
 class BitMatrix:
@@ -86,16 +114,7 @@ class BitMatrix:
 
     @classmethod
     def from_row_ints(cls, row_ints, cols: int) -> "BitMatrix":
-        nw = _nwords(cols)
-        words = np.zeros((len(row_ints), nw), dtype=np.uint64)
-        mask = (1 << WORD) - 1
-        for i, r in enumerate(row_ints):
-            j = 0
-            while r:
-                words[i, j] = r & mask
-                r >>= WORD
-                j += 1
-        return cls(len(row_ints), cols, words)
+        return cls(len(row_ints), cols, _ints_to_words(row_ints, cols))
 
     # ---- accessors ----------------------------------------------------
 
@@ -111,13 +130,10 @@ class BitMatrix:
         return bits[:, : self.cols]
 
     def row_int(self, i: int) -> int:
-        v = 0
-        for j in range(self.words.shape[1] - 1, -1, -1):
-            v = (v << WORD) | int(self.words[i, j])
-        return v
+        return _words_to_ints(self.words[[i]])[0]
 
     def row_ints(self) -> list[int]:
-        return [self.row_int(i) for i in range(self.rows)]
+        return _words_to_ints(self.words)
 
     def col_ints(self) -> list[int]:
         return transpose(self).row_ints()
@@ -159,15 +175,14 @@ class RrefCache:
     """Reduced row-echelon form of a matrix plus pivot bookkeeping.
 
     Membership queries reduce a vector against the pivot rows, costing
-    O(rank) row XORs.
+    O(rank) row XORs.  ``pivot_rows`` holds the first ``rank`` rows of
+    ``rref`` as ints.
     """
 
     rref: BitMatrix
     pivot_cols: tuple[int, ...]
     rank: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "_pivot_rows_int", self.rref.row_ints()[: self.rank])
+    pivot_rows: tuple[int, ...] = field(repr=False, compare=False)
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -190,30 +205,32 @@ def transpose(a: BitMatrix) -> BitMatrix:
 
 
 def rref(a: BitMatrix) -> RrefCache:
-    """Gauss-Jordan elimination over GF(2), word-parallel row XORs."""
-    words = a.words.copy()
-    words.flags.writeable = True
+    """Gauss-Jordan elimination over GF(2) on int rows (see the module
+    docstring).  The reduced form is unique, so the result does not depend
+    on the pivot-row choice."""
+    rows = a.row_ints()
+    m = a.rows
     pivots: list[int] = []
     r = 0
     for c in range(a.cols):
-        if r >= a.rows:
+        if r == m:
             break
-        w, b = c // WORD, np.uint64(c % WORD)
-        colbits = (words[r:, w] >> b) & np.uint64(1)
-        nz = np.nonzero(colbits)[0]
-        if nz.size == 0:
+        bit = 1 << c
+        for p in range(r, m):
+            if rows[p] & bit:
+                break
+        else:
             continue
-        p = r + int(nz[0])
-        if p != r:
-            words[[r, p]] = words[[p, r]]
-        mask = ((words[:, w] >> b) & np.uint64(1)).astype(bool)
-        mask[r] = False
-        if mask.any():
-            words[mask] ^= words[r]
+        pivot = rows[p]
+        rows[p] = rows[r]
+        rows = [x ^ pivot if x & bit else x for x in rows]
+        rows[r] = pivot
         pivots.append(c)
         r += 1
-    reduced = BitMatrix(a.rows, a.cols, words)
-    return RrefCache(rref=reduced, pivot_cols=tuple(pivots), rank=r)
+    reduced = BitMatrix(m, a.cols, _ints_to_words(rows, a.cols))
+    return RrefCache(
+        rref=reduced, pivot_cols=tuple(pivots), rank=r, pivot_rows=tuple(rows[:r])
+    )
 
 
 def rank(a: BitMatrix) -> int:
@@ -253,7 +270,7 @@ def in_rowspace(cache: RrefCache, v) -> bool:
         x = int.from_bytes(
             np.packbits(vv, bitorder="little").tobytes(), "little"
         )
-    rows = cache._pivot_rows_int
+    rows = cache.pivot_rows
     for i, c in enumerate(cache.pivot_cols):
         if (x >> c) & 1:
             x ^= rows[i]

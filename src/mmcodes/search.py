@@ -47,6 +47,16 @@ class SearchConfig:
             raise SearchError("max_candidates must be >= 0")
         if not self.orders:
             raise SearchError("need at least one candidate order tuple")
+        if self.workers < 1:
+            raise SearchError(f"workers must be >= 1, got {self.workers}")
+        w_exhaustive, iterations = self.distance_budget
+        if w_exhaustive < 1 or iterations < 0:
+            raise SearchError(
+                f"bad distance_budget {self.distance_budget}: need "
+                "w_exhaustive >= 1 and iterations >= 0"
+            )
+        if self.confinement_w_max is not None and self.confinement_w_max < 1:
+            raise SearchError("confinement_w_max must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -188,8 +198,9 @@ def run_search(config: SearchConfig, sink=None) -> list[cp.CodeReport]:
 
     Candidate i draws its rng stream from (seed, i mod workers,
     i div workers), so results are reproducible for a fixed worker count
-    and a worker pool evaluating disjoint index slices sees the same
-    streams.
+    and a worker pool evaluating disjoint index slices would see the same
+    streams.  ``workers`` only splits the streams: candidates are evaluated
+    one after another in this process, nothing runs concurrently.
     """
     accepted: list[cp.CodeReport] = []
     seen: set[tuple] = set()

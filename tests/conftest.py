@@ -40,6 +40,28 @@ def oracle_rank(dense: np.ndarray) -> int:
     return rank
 
 
+def oracle_rref(dense: np.ndarray):
+    """Gauss-Jordan elimination on a dense uint8 array, one column and one
+    row at a time: (reduced matrix, pivot columns, rank)."""
+    a = np.array(dense, dtype=np.uint8) % 2
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = [i for i in range(r, rows) if a[i, c]]
+        if not hits:
+            continue
+        a[[r, hits[0]]] = a[[hits[0], r]]
+        for i in range(rows):
+            if i != r and a[i, c]:
+                a[i] ^= a[r]
+        pivots.append(c)
+        r += 1
+    return a, tuple(pivots), r
+
+
 def oracle_in_rowspace(dense: np.ndarray, v: np.ndarray) -> bool:
     stacked = np.vstack([dense, v[None, :]])
     return oracle_rank(stacked) == oracle_rank(dense)

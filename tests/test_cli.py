@@ -1,5 +1,6 @@
 import io
 import json
+from importlib import resources
 
 import pytest
 
@@ -198,6 +199,71 @@ class TestSearchCommand:
         assert rc == EXIT_OK
         lines = dest.read_text().splitlines()
         assert json.loads(lines[-1])["record"] == "telemetry"
+
+
+ROW13 = str(resources.files("mmcodes") / "fixtures" / "table2_row13.json")
+
+
+class TestBadInput:
+    """Out-of-range knobs exit 2 with a one-line message, not a traceback."""
+
+    def expect_usage_error(self, argv, capsys):
+        rc, out = run(argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        return err
+
+    def test_distance_workers_zero(self, capsys):
+        err = self.expect_usage_error(
+            ["distance", ROW13, "--type", "Z", "--w-exhaustive", "2",
+             "--iterations", "2", "--workers", "0"],
+            capsys,
+        )
+        assert "--workers" in err
+
+    def test_distance_workers_negative(self, capsys):
+        self.expect_usage_error(
+            ["distance", ROW13, "--type", "Z", "--w-exhaustive", "2",
+             "--iterations", "2", "--workers", "-2"],
+            capsys,
+        )
+
+    def test_distance_w_exhaustive_zero(self, capsys):
+        err = self.expect_usage_error(
+            ["distance", ROW13, "--type", "Z", "--w-exhaustive", "0"], capsys
+        )
+        assert "--w-exhaustive" in err
+
+    @pytest.mark.parametrize("command", ["ssdist", "confine"])
+    def test_w_max_zero(self, command, capsys):
+        err = self.expect_usage_error(
+            [command, ROW13, "--type", "Z", "--w-max", "0"], capsys
+        )
+        assert "--w-max" in err
+
+    def test_not_an_integer(self, capsys):
+        self.expect_usage_error(
+            ["params", ROW13, "--iterations", "many"], capsys
+        )
+
+    def test_search_config_workers_zero(self, tmp_path, capsys):
+        p = tmp_path / "search.json"
+        p.write_text(json.dumps({"t": 2, "orders": [[4]], "workers": 0}))
+        err = self.expect_usage_error(["search", str(p)], capsys)
+        assert "workers" in err
+
+    def test_search_workers_flag_zero(self, tmp_path, capsys):
+        p = tmp_path / "search.json"
+        p.write_text(json.dumps({"t": 2, "orders": [[4]]}))
+        self.expect_usage_error(["search", str(p), "--workers", "0"], capsys)
+
+    def test_q_override_must_be_an_integer(self, tmp_path, capsys):
+        p = tmp_path / "q.json"
+        p.write_text(json.dumps(dict(ROW1, q_override="1")))
+        err = self.expect_usage_error(["verify", str(p)], capsys)
+        assert "q_override" in err
 
 
 class TestFixturesAndTable:

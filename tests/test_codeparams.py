@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmcodes import codeparams as cp
-from mmcodes.gf2 import in_rowspace, mat_mul, rref, transpose
+from mmcodes.gf2 import BitMatrix, in_rowspace, mat_mul, rref, transpose
 from mmcodes.koszul import build_code
 from mmcodes.ring import GroupSpec, parse_poly
 
@@ -139,6 +141,67 @@ class TestDistanceRandomized:
         code = make([2], ["1", "1"])
         b = cp.distance_randomized(code, "Z", 5, seed=0)
         assert b.upper is None
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_bad_workers(self, row1, workers):
+        with pytest.raises(ValueError, match="workers"):
+            cp.distance_randomized(row1, "Z", 5, seed=0, workers=workers)
+
+
+def reference_isd_pass(gen_dense, rng, best_w):
+    """The original information-set pass: every row and row pair as a
+    Python int, un-permuted bit by bit, in no particular order."""
+    k, n = gen_dense.shape
+    perm = rng.permutation(n)
+    reduced = rref(BitMatrix.from_dense(gen_dense[:, perm]))
+    rows = reduced.rref.row_ints()[: reduced.rank]
+    out = []
+
+    def push(v):
+        w = v.bit_count()
+        if 0 < w < best_w:
+            orig = 0
+            x = v
+            while x:
+                b = x & -x
+                orig |= 1 << int(perm[b.bit_length() - 1])
+                x ^= b
+            out.append((w, orig))
+
+    for r in rows:
+        push(r)
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            push(rows[i] ^ rows[j])
+    return out
+
+
+class TestIsdPass:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(0, 24),
+        n=st.sampled_from([1, 9, 64, 65, 100]),
+        density=st.sampled_from([0.1, 0.5]),
+        cut=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference(self, k, n, density, cut, seed):
+        gen = (np.random.default_rng(seed).random((k, n)) < density).astype(np.uint8)
+        best_w = min(cut, n + 1)
+        rng_new = np.random.default_rng([seed, 1])
+        rng_ref = np.random.default_rng([seed, 1])
+        got = list(cp._isd_pass(gen, rng_new, best_w))
+        assert got == sorted(reference_isd_pass(gen, rng_ref, best_w))
+        # one permutation per pass: both streams end in the same state
+        assert rng_new.integers(2**62) == rng_ref.integers(2**62)
+
+    def test_pair_blocks(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        gen = (rng.random((30, 80)) < 0.5).astype(np.uint8)
+        want = list(cp._isd_pass(gen, np.random.default_rng(9), 81))
+        monkeypatch.setattr(cp, "ISD_PAIR_BLOCK_BYTES", 1)
+        assert list(cp._isd_pass(gen, np.random.default_rng(9), 81)) == want
+        assert len(want) == 30 * 31 // 2
 
 
 class TestSingleShot:

@@ -15,7 +15,13 @@ from mmcodes.gf2 import (
     vstack,
 )
 
-from conftest import naive_mul, oracle_in_rowspace, oracle_rank, random_dense
+from conftest import (
+    naive_mul,
+    oracle_in_rowspace,
+    oracle_rank,
+    oracle_rref,
+    random_dense,
+)
 
 
 @st.composite
@@ -24,6 +30,27 @@ def dense_matrices(draw, max_dim=64):
     cols = draw(st.integers(1, max_dim))
     seed = draw(st.integers(0, 2**32 - 1))
     return random_dense(np.random.default_rng(seed), rows, cols)
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Matrices around the word boundaries, including empty, rank-deficient
+    and duplicate-row ones."""
+    rows = draw(st.integers(0, 24))
+    cols = draw(st.sampled_from([0, 1, 7, 63, 64, 65, 129]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "sparse", "low_rank", "duplicate"]))
+    if kind == "random":
+        return random_dense(rng, rows, cols, p=0.5)
+    if kind == "sparse":
+        return random_dense(rng, rows, cols, p=0.05)
+    if kind == "low_rank":
+        inner = draw(st.integers(0, 4))
+        left = random_dense(rng, rows, inner)
+        right = random_dense(rng, inner, cols)
+        return (left.astype(np.int64) @ right % 2).astype(np.uint8)
+    base = random_dense(rng, max(1, rows // 3), cols)
+    return base[rng.integers(len(base), size=rows)]
 
 
 class TestBitMatrix:
@@ -128,6 +155,20 @@ class TestRref:
         cache = rref(BitMatrix.from_dense(random_dense(rng, 20, 30)))
         assert list(cache.pivot_cols) == sorted(set(cache.pivot_cols))
         assert cache.rank == len(cache.pivot_cols)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=shaped_matrices())
+    def test_matches_dense_gauss_jordan(self, m):
+        reduced, pivots, r = oracle_rref(m)
+        cache = rref(BitMatrix.from_dense(m))
+        assert np.array_equal(cache.rref.to_dense(), reduced)
+        assert cache.pivot_cols == pivots
+        assert cache.rank == r
+        assert list(cache.pivot_rows) == cache.rref.row_ints()[:r]
+        kb = kernel_basis(BitMatrix.from_dense(m))
+        assert kb.shape == (m.shape[1] - r, m.shape[1])
+        assert not (m.astype(np.int64) @ kb.to_dense().T % 2).any()
 
 
 class TestKernel:

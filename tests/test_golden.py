@@ -1,0 +1,127 @@
+"""Golden pins for the randomized engines.
+
+The distance bounds below and the search digest were recorded with the
+original bit-by-bit information-set pass and column-by-column numpy RREF.
+Any rewrite of those kernels must reproduce them byte for byte: the
+determinism contract promises identical reports for a fixed
+``(seed, workers)``.
+"""
+
+import functools
+import hashlib
+import io
+
+import pytest
+
+from mmcodes import codeparams as cp
+from mmcodes.cli import build_from_config, load_fixture
+from mmcodes.search import SearchConfig, run_search
+
+ISD_ITERATIONS = 20
+
+RANDOMIZED = {
+    ("table2_row01", "X", 0, 1): {"lower": 1, "upper": 4, "witness": [4, 7, 13, 14]},
+    ("table2_row01", "X", 7, 2): {"lower": 1, "upper": 4, "witness": [0, 3, 9, 10]},
+    ("table2_row01", "Z", 0, 1): {"lower": 1, "upper": 4, "witness": [1, 7, 11, 13]},
+    ("table2_row01", "Z", 7, 2): {"lower": 1, "upper": 4, "witness": [1, 7, 11, 13]},
+    ("table2_row13", "X", 0, 1): {
+        "lower": 1, "upper": 9, "witness": [2, 3, 7, 11, 12, 16, 20, 21, 25],
+    },
+    ("table2_row13", "X", 7, 2): {
+        "lower": 1, "upper": 9, "witness": [81, 82, 83, 84, 85, 86, 87, 88, 89],
+    },
+    ("table2_row13", "Z", 0, 1): {
+        "lower": 1, "upper": 9,
+        "witness": [270, 274, 278, 279, 283, 287, 288, 292, 296],
+    },
+    ("table2_row13", "Z", 7, 2): {
+        "lower": 1, "upper": 9,
+        "witness": [234, 235, 236, 237, 238, 239, 240, 241, 242],
+    },
+    ("tt72", "X", 0, 1): {
+        "lower": 1, "upper": 12,
+        "witness": [6, 8, 18, 21, 22, 23, 49, 51, 61, 62, 64, 65],
+    },
+    ("tt72", "X", 7, 2): {
+        "lower": 1, "upper": 12,
+        "witness": [7, 8, 9, 10, 18, 22, 48, 50, 51, 53, 61, 65],
+    },
+    ("tt72", "Z", 0, 1): {"lower": 1, "upper": 6, "witness": [1, 9, 12, 28, 52, 61]},
+    ("tt72", "Z", 7, 2): {"lower": 1, "upper": 6, "witness": [0, 4, 8, 52, 57, 60]},
+}
+
+# (fixture, type, iterations, seed, workers, stop_at) -> bound.  Both cases
+# stop early on a witness that a full run would replace.
+STOP_AT = {
+    ("table2_row13", "X", 30, 2, 1, 12): {
+        "lower": 1, "upper": 12,
+        "witness": [20, 21, 25, 46, 50, 51, 54, 58, 62, 72, 76, 80],
+    },
+    ("tt72", "X", 30, 0, 1, 12): {
+        "lower": 1, "upper": 12,
+        "witness": [9, 11, 18, 19, 21, 22, 50, 52, 60, 61, 62, 65],
+    },
+}
+
+# (fixture, check type, w_max) -> bound with iterations=10, seed=5.  The
+# exhaustive stage finds nothing up to w_max, so the upper bound and its
+# witness come from the information-set passes.
+SINGLE_SHOT = {
+    ("tt72", "Z", 2): {"lower": 3, "upper": 6, "witness": [10, 21, 25, 31, 40, 48]},
+    ("table2_row13", "X", 2): {"lower": 3, "upper": 3, "witness": [63, 64, 65]},
+}
+
+# The benchmark's search workload configuration, at seed 0.
+SEARCH = SearchConfig(
+    t=4,
+    orders=((2, 2, 2, 2), (2, 2, 2, 3)),
+    structured_families=("(1+v_a)(1+v_b v_c)", "1+v_a v_b"),
+    distance_budget=(3, 30),
+    require_k_min=2,
+    require_d_min=3,
+    max_candidates=50,
+    seed=0,
+    workers=2,
+)
+SEARCH_SHA256 = "60e0a6e3cf89e38ec7311cdb7a2f195ce5d1a5389870b521de351109b42141cb"
+
+def key_id(key):
+    return "-".join(map(str, key))
+
+
+@functools.cache
+def fixture_code(name):
+    return build_from_config(load_fixture(f"{name}.json"))
+
+
+@pytest.mark.parametrize("key", sorted(RANDOMIZED), ids=key_id)
+def test_distance_randomized(key):
+    name, et, seed, workers = key
+    bound = cp.distance_randomized(
+        fixture_code(name), et, ISD_ITERATIONS, seed, workers
+    )
+    assert bound.to_dict() == RANDOMIZED[key]
+
+
+@pytest.mark.parametrize("key", sorted(STOP_AT), ids=key_id)
+def test_distance_randomized_stop_at(key):
+    name, et, iterations, seed, workers, stop_at = key
+    bound = cp.distance_randomized(
+        fixture_code(name), et, iterations, seed, workers, stop_at=stop_at
+    )
+    assert bound.to_dict() == STOP_AT[key]
+
+
+@pytest.mark.parametrize("key", sorted(SINGLE_SHOT), ids=key_id)
+def test_single_shot_distance(key):
+    name, ct, w_max = key
+    code = fixture_code(name)
+    assert cp.single_shot_distance(code, ct, w_max).upper is None
+    bound = cp.single_shot_distance(code, ct, w_max, iterations=10, seed=5)
+    assert bound.to_dict() == SINGLE_SHOT[key]
+
+
+def test_search_stream_digest():
+    sink = io.StringIO()
+    run_search(SEARCH, sink)
+    assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == SEARCH_SHA256
