@@ -12,9 +12,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
-from math import comb
 from pathlib import Path
 
 from . import codeparams as cp
@@ -98,6 +97,11 @@ def build_from_config(
     return code
 
 
+def _load_code(path: str) -> tuple[BuildConfig, MCssCode]:
+    cfg = load_config(path)
+    return cfg, build_from_config(cfg)
+
+
 def enum_budget() -> int:
     env = os.environ.get("MMCODES_BUDGET")
     return int(env) if env else cp.DEFAULT_ENUM_BUDGET
@@ -146,8 +150,7 @@ def _emit(doc: dict, out):
 
 
 def cmd_build(args, out) -> int:
-    cfg = load_config(args.config)
-    code = build_from_config(cfg)
+    cfg, code = _load_code(args.config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     writer = formats.write_alist if args.format == "alist" else formats.write_mtx
@@ -163,10 +166,9 @@ def cmd_build(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    cfg = load_config(args.config)
     # build_code asserts the chain condition and all orthogonality
     # conditions; reaching this point means they hold.
-    code = build_from_config(cfg)
+    cfg, code = _load_code(args.config)
     _emit(
         {
             "name": cfg.name,
@@ -184,8 +186,7 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_params(args, out) -> int:
-    cfg = load_config(args.config)
-    code = build_from_config(cfg)
+    cfg, code = _load_code(args.config)
     report = cp.analyze(
         code,
         name=cfg.name,
@@ -202,24 +203,17 @@ def cmd_params(args, out) -> int:
 
 
 def cmd_distance(args, out) -> int:
-    cfg = load_config(args.config)
-    code = build_from_config(cfg)
-    bound = cp.distance_exhaustive(
-        code, args.type, args.w_exhaustive, enum_budget()
+    cfg, code = _load_code(args.config)
+    bound = cp.distance_exhaustive(code, args.type, args.w_exhaustive, enum_budget())
+    bound = cp._escalate(
+        code, args.type, bound, args.iterations, args.seed, args.workers
     )
-    if bound.upper is None and args.iterations > 0:
-        r = cp.distance_randomized(
-            code, args.type, args.iterations, args.seed, args.workers
-        )
-        if r.upper is not None:
-            bound = cp.DistanceBound(bound.lower, r.upper, r.witness)
     _emit({"name": cfg.name, "type": args.type, **bound.to_dict()}, out)
     return EXIT_OK
 
 
 def cmd_ssdist(args, out) -> int:
-    cfg = load_config(args.config)
-    code = build_from_config(cfg)
+    cfg, code = _load_code(args.config)
     try:
         bound = cp.single_shot_distance(
             code, args.type, args.w_max, args.iterations, args.seed, enum_budget()
@@ -232,8 +226,7 @@ def cmd_ssdist(args, out) -> int:
 
 
 def cmd_confine(args, out) -> int:
-    cfg = load_config(args.config)
-    code = build_from_config(cfg)
+    cfg, code = _load_code(args.config)
     prof = cp.confinement_profile(
         code, args.type, args.w_max, mode=args.mode, seed=args.seed
     )
@@ -247,30 +240,8 @@ def cmd_search(args, out) -> int:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read search config: {exc}") from exc
-    try:
-        config = SearchConfig(
-            t=int(doc["t"]),
-            orders=tuple(tuple(int(o) for o in row) for row in doc["orders"]),
-            term_range=tuple(doc.get("term_range", (2, 6))),
-            require_k_min=int(doc.get("require_k_min", 1)),
-            require_d_min=int(doc.get("require_d_min", 2)),
-            distance_budget=tuple(doc.get("distance_budget", (4, 100))),
-            confinement_w_max=doc.get("confinement_w_max"),
-            max_candidates=int(doc.get("max_candidates", 100)),
-            seed=args.seed if args.seed is not None else int(doc.get("seed", 0)),
-            workers=(
-                args.workers
-                if args.workers is not None
-                else int(doc.get("workers", 1))
-            ),
-            structured_families=(
-                tuple(doc["structured_families"])
-                if doc.get("structured_families")
-                else None
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad search config: {exc}") from exc
+    flags = {k: v for k in ("seed", "workers") if (v := getattr(args, k)) is not None}
+    config = replace(SearchConfig.from_dict(doc), **flags)
     if args.out:
         with open(args.out, "w") as sink:
             accepted = run_search(config, sink)
@@ -281,8 +252,7 @@ def cmd_search(args, out) -> int:
 
 
 def cmd_export(args, out) -> int:
-    cfg = load_config(args.config)
-    code = build_from_config(cfg)
+    cfg, code = _load_code(args.config)
     mats = _matrices(code)
     if args.matrix not in mats:
         raise ConfigError(
@@ -312,11 +282,9 @@ def load_fixture(name: str) -> BuildConfig:
     return config_from_dict(json.loads(path.read_text()), Path(name).stem)
 
 
-def _certifiable_w(n: int, cap: int, budget: int) -> int:
-    w = 0
-    while w < cap and sum(comb(n, j) for j in range(1, w + 2)) <= budget:
-        w += 1
-    return w
+def _lighter(a: cp.DistanceBound, b: cp.DistanceBound) -> cp.DistanceBound:
+    """The bound with the lighter witness; ``a`` on a tie or without one."""
+    return b if b.upper is not None and (a.upper is None or b.upper < a.upper) else a
 
 
 def _medians(ws: list[int]) -> tuple[int, float]:
@@ -346,24 +314,20 @@ def cmd_table2(args, out) -> int:
         k = cp.logical_count(code)
         stats = cp.check_weight_stats(code)
         d_pub = pub.get("d")
-        w_cert = _certifiable_w(code.n, d_pub or args.w_exhaustive, budget)
-        bound = cp.distance_exhaustive(code, "Z", w_cert, budget)
-        bx = cp.distance_exhaustive(code, "X", w_cert, budget)
-        if bound.upper is None or (bx.upper is not None and bx.upper < bound.upper):
-            if bx.upper is not None:
-                bound = bx
-        if bound.upper is None and args.iterations > 0 and d_pub:
-            for et in ("Z", "X"):
-                r = cp.distance_randomized(
-                    code, et, args.iterations, args.seed, args.workers,
-                    stop_at=d_pub,
-                )
-                if r.upper is not None and (
-                    bound.upper is None or r.upper < bound.upper
-                ):
-                    bound = cp.DistanceBound(bound.lower, r.upper, r.witness)
-                    if bound.upper is not None and bound.upper <= d_pub:
-                        break
+        w_cert = cp._certifiable_w(code.n, d_pub or args.w_exhaustive, budget)
+        bound = exhaustive = _lighter(
+            cp.distance_exhaustive(code, "Z", w_cert, budget),
+            cp.distance_exhaustive(code, "X", w_cert, budget),
+        )
+        # Randomized passes only hunt for the published d: no d, no passes,
+        # and X is skipped once Z reaches it.
+        for et in ("Z", "X") if d_pub else ():
+            bound = _lighter(bound, cp._escalate(
+                code, et, exhaustive, args.iterations, args.seed, args.workers,
+                stop_at=d_pub,
+            ))
+            if bound.upper is not None and bound.upper <= d_pub:
+                break
         checks = {
             "n": code.n == pub.get("n"),
             "k": k == pub.get("k"),
@@ -540,10 +504,11 @@ def main(argv=None, out=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (cp.BudgetExceeded, SizeBudgetExceeded) as exc:
-        sys.stderr.write(
-            f"error: {exc}\nhint: lower --w-exhaustive / --w-max or raise "
-            "MMCODES_BUDGET\n"
-        )
+        sys.stderr.write(f"error: {exc}\n")
+        if isinstance(exc, cp.BudgetExceeded):  # the group size has no flag
+            sys.stderr.write(
+                "hint: lower --w-exhaustive / --w-max or raise MMCODES_BUDGET\n"
+            )
         return EXIT_BUDGET
     except (KoszulError, GF2Error, formats.FormatError, cp.MetacheckAbsent) as exc:
         sys.stderr.write(f"error: {exc}\n")

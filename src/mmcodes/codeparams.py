@@ -14,6 +14,7 @@ Distance search works in two regimes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb, inf
 
 import numpy as np
@@ -79,12 +80,14 @@ def _support_key(sup: int) -> tuple[int, ...]:
     return tuple(i for i in range(sup.bit_length()) if (sup >> i) & 1)
 
 
-def _col_ints(m: BitMatrix) -> list[int]:
-    return m.col_ints()
-
-
 def _enum_cost(n: int, w_max: int) -> int:
+    """Steps charged for enumerating all nonempty supports of weight <= w_max."""
     return sum(comb(n, j) for j in range(1, w_max + 1))
+
+
+def _certifiable_w(n: int, cap: int, budget: int) -> int:
+    """Largest w <= cap whose enumeration fits the budget, or 0."""
+    return max((w for w in range(cap + 1) if _enum_cost(n, w) <= budget), default=0)
 
 
 def _xor_cols(cols: list[int], idxs) -> int:
@@ -94,20 +97,31 @@ def _xor_cols(cols: list[int], idxs) -> int:
     return s
 
 
+def _syndrome_layers(cols: list[int], max_w: int):
+    """Yield, for w = 0..max_w, the syndromes and supports of all weight-w
+    supports over ``cols`` as two parallel iterables (bit i of a support
+    selects column i).  Each support appears exactly once: it is reached
+    only from itself minus its highest column.  The last layer is two
+    generators, so a caller reading only syndromes never builds its supports."""
+    bits = [1 << i for i in range(len(cols))]
+    syns, sups = [0], [0]
+    for w in range(max_w + 1):
+        yield syns, sups
+        if w < max_w:
+            syns = (s ^ c for s, sup in zip(syns, sups)
+                    for c in cols[sup.bit_length():])
+            sups = (sup | b for sup in sups for b in bits[sup.bit_length():])
+            if w + 1 < max_w:
+                syns, sups = list(syns), list(sups)
+
+
 def _syndrome_patterns(cols: list[int], max_w: int):
-    """All supports of weight <= max_w with their syndromes, grouped by
-    syndrome value."""
-    n = len(cols)
+    """All supports of weight <= max_w as (support, weight) pairs, grouped
+    by syndrome value."""
     buckets: dict[int, list[tuple[int, int]]] = {}
-
-    def rec(start: int, syn: int, sup: int, w: int):
-        buckets.setdefault(syn, []).append((sup, w))
-        if w == max_w:
-            return
-        for i in range(start, n):
-            rec(i + 1, syn ^ cols[i], sup | (1 << i), w + 1)
-
-    rec(0, 0, 0, 0)
+    for w, (syns, sups) in enumerate(_syndrome_layers(cols, max_w)):
+        for syn, sup in zip(syns, sups):
+            buckets.setdefault(syn, []).append((sup, w))
     return buckets
 
 
@@ -121,24 +135,15 @@ def low_weight_kernel_vectors(
     needed = _enum_cost(n, w_max)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    half = (w_max + 1) // 2
-    buckets = _syndrome_patterns(_col_ints(p), half)
     found: set[int] = set()
-    for group in buckets.values():
-        m = len(group)
-        for i in range(m):
-            sup_a, w_a = group[i]
-            for j in range(i + 1, m):
-                sup_b, w_b = group[j]
-                if w_a + w_b <= w_max and not (sup_a & sup_b):
-                    v = sup_a | sup_b
-                    if v:
-                        found.add(v)
+    for group in _syndrome_patterns(p.col_ints(), (w_max + 1) // 2).values():
+        # Supports are distinct, so the union of a disjoint pair is nonzero.
+        for (sup_a, w_a), (sup_b, w_b) in combinations(group, 2):
+            if w_a + w_b <= w_max and not sup_a & sup_b:
+                found.add(sup_a | sup_b)
     out: dict[int, list[int]] = {}
-    for v in found:
+    for v in sorted(found, key=_support_key):
         out.setdefault(v.bit_count(), []).append(v)
-    for w in out:
-        out[w].sort(key=_support_key)
     return out
 
 
@@ -288,6 +293,20 @@ def distance_randomized(
     return DistanceBound(lower=1, upper=best_w, witness=_support_key(best_sup))
 
 
+def _escalate(
+    code: MCssCode, err_type: str, bound: DistanceBound, iterations: int,
+    seed: int, workers: int, stop_at: int | None = None,
+) -> DistanceBound:
+    """``bound`` plus, if it has no witness and ``iterations >= 1``, the upper
+    bound and witness ``distance_randomized`` finds, if any."""
+    if bound.upper is not None or iterations < 1:
+        return bound
+    r = distance_randomized(code, err_type, iterations, seed, workers, stop_at)
+    if r.upper is None:
+        return bound
+    return DistanceBound(lower=bound.lower, upper=r.upper, witness=r.witness)
+
+
 def single_shot_distance(
     code: MCssCode,
     check_type: str,
@@ -371,22 +390,6 @@ def connected_subsets(neighbors: list[set[int]], max_size: int):
         yield from extend((v,), start_ext, frozenset({v}) | set(start_ext), v)
 
 
-def _reachable_syndromes(cols: list[int], max_w: int) -> set[int]:
-    """{KB u : |u| <= max_w} used for coset-minimality tests."""
-    seen: set[int] = set()
-    n = len(cols)
-
-    def rec(start: int, syn: int, w: int):
-        seen.add(syn)
-        if w == max_w:
-            return
-        for i in range(start, n):
-            rec(i + 1, syn ^ cols[i], w + 1)
-
-    rec(0, 0, 0)
-    return seen
-
-
 def _minplus_closure(entries: list[int | None]) -> list[int | None]:
     w_max = len(entries)
     closed: list[float] = [e if e is not None else inf for e in entries]
@@ -421,18 +424,20 @@ def confinement_profile(
     h, stab = _select_check_pair(code, err_type)
     n = h.cols
     fell_back = False
-    if mode == "exact":
-        needed = sum(comb(n, j) for j in range(w_max))
-        if needed > budget:
-            mode, fell_back = "cluster", True
+    # Exact mode pays for the coset-minimality sets, empty support included.
+    if mode == "exact" and 1 + _enum_cost(n, w_max - 1) > budget:
+        mode, fell_back = "cluster", True
 
-    h_cols = _col_ints(h)
-    kb = kernel_basis(stab)
-    kb_cols = _col_ints(kb)
+    h_cols = h.col_ints()
+    kb_cols = kernel_basis(stab).col_ints()
     neighbors = _tanner_neighbors(h)
     best: list[float] = [inf] * w_max
-    # reachable[j] tests membership of {KB u : |u| <= j}
-    reachable = [_reachable_syndromes(kb_cols, j) for j in range(w_max)]
+    # reachable[j] = {KB u : |u| <= j}, for the coset-minimality test
+    reachable: list[set[int]] = []
+    seen: set[int] = set()
+    for syns, _ in _syndrome_layers(kb_cols, w_max - 1):
+        seen = seen.union(syns)
+        reachable.append(seen)
 
     def consider(sup: tuple[int, ...]):
         w = len(sup)
@@ -564,11 +569,7 @@ def analyze(
     bounds = {}
     for et in ("X", "Z"):
         b = distance_exhaustive(code, et, w_exhaustive, budget)
-        if b.upper is None and iterations > 0:
-            r = distance_randomized(code, et, iterations, seed, workers)
-            if r.upper is not None:
-                b = DistanceBound(lower=b.lower, upper=r.upper, witness=r.witness)
-        bounds[et] = b
+        bounds[et] = _escalate(code, et, b, iterations, seed, workers)
 
     sdx = sdz = None
     if ss_w is not None:

@@ -24,6 +24,33 @@ class SearchError(Exception):
     pass
 
 
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _is_list(v, item=_is_int, length: int | None = None) -> bool:
+    return isinstance(v, list) and length in (None, len(v)) and all(map(item, v))
+
+
+def _tuples(v):
+    return tuple(map(_tuples, v)) if isinstance(v, list) else v
+
+
+# JSON search-config field -> whether a value has the field's type and shape
+_FIELDS = dict.fromkeys(
+    ("t", "require_k_min", "require_d_min", "max_candidates", "seed", "workers"),
+    _is_int,
+) | {
+    "orders": lambda v: _is_list(v, _is_list),
+    "term_range": lambda v: _is_list(v, length=2),
+    "distance_budget": lambda v: _is_list(v, length=2),
+    "confinement_w_max": lambda v: v is None or _is_int(v),
+    "structured_families": lambda v: (
+        v is None or _is_list(v, lambda f: isinstance(f, str))
+    ),
+}
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     t: int
@@ -57,6 +84,18 @@ class SearchConfig:
             )
         if self.confinement_w_max is not None and self.confinement_w_max < 1:
             raise SearchError("confinement_w_max must be >= 1")
+
+    @classmethod
+    def from_dict(cls, doc) -> SearchConfig:
+        """The config a JSON search document describes; absent fields but
+        ``t`` and ``orders`` keep their defaults.  A field of the wrong type
+        or shape, such as a non-integer number, raises SearchError."""
+        if not isinstance(doc, dict) or not {"t", "orders"} <= doc.keys():
+            raise SearchError("search config must be an object with t and orders")
+        for key, ok in _FIELDS.items():
+            if key in doc and not ok(doc[key]):
+                raise SearchError(f"search config {key} is malformed: {doc[key]!r}")
+        return cls(**{k: _tuples(doc[k]) for k in _FIELDS if k in doc})
 
 
 @dataclass(frozen=True)
@@ -149,18 +188,11 @@ def evaluate_candidate(
         if b.upper is not None and b.upper < config.require_d_min:
             return reject(3, f"d_{et.lower()} <= {b.upper}")
         bounds[et] = b
-    if iters > 0:
-        for et in ("X", "Z"):
-            if bounds[et].upper is None:
-                r = cp.distance_randomized(
-                    code, et, iters, config.seed, config.workers
-                )
-                if r.upper is not None:
-                    if r.upper < config.require_d_min:
-                        return reject(4, f"d_{et.lower()} <= {r.upper}")
-                    bounds[et] = cp.DistanceBound(
-                        lower=bounds[et].lower, upper=r.upper, witness=r.witness
-                    )
+    for et in ("X", "Z"):
+        b = cp._escalate(code, et, bounds[et], iters, config.seed, config.workers)
+        if b.upper is not None and b.upper < config.require_d_min:
+            return reject(4, f"d_{et.lower()} <= {b.upper}")
+        bounds[et] = b
     cx = cz = None
     if config.confinement_w_max is not None:
         cx = cp.confinement_profile(

@@ -124,10 +124,11 @@ class TestVerifyParams:
         }
         assert len(outputs) == 1
 
-    def test_budget_exit_code(self, row1_config, monkeypatch):
+    def test_budget_exit_code(self, row1_config, monkeypatch, capsys):
         monkeypatch.setenv("MMCODES_BUDGET", "100")
         rc, _ = run(["distance", row1_config, "--type", "Z", "--w-exhaustive", "4"])
         assert rc == EXIT_BUDGET
+        assert "hint: lower --w-exhaustive" in capsys.readouterr().err
 
 
 class TestDistanceCommands:
@@ -264,6 +265,49 @@ class TestBadInput:
         p.write_text(json.dumps(dict(ROW1, q_override="1")))
         err = self.expect_usage_error(["verify", str(p)], capsys)
         assert "q_override" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t", 4.0),
+            ("orders", [[2, 2, 2, 2.0]]),
+            ("term_range", [1, 3.5]),
+            ("require_k_min", "2"),
+            ("require_d_min", 3.0),
+            ("distance_budget", [3.0, 10]),
+            ("distance_budget", [3, 10.5]),
+            ("distance_budget", [3, 10, 1]),
+            ("confinement_w_max", 2.5),
+            ("max_candidates", 4.0),
+            ("seed", 1.5),
+            ("workers", True),
+        ],
+    )
+    def test_search_config_field_must_be_integer(self, field, value, tmp_path, capsys):
+        config = {
+            "t": 4,
+            "orders": [[2, 2, 2, 2]],
+            "structured_families": ["(1+v_a)(1+v_b v_c)", "1+v_a v_b"],
+            "distance_budget": [3, 10],
+            "require_k_min": 2,
+            "require_d_min": 3,
+            "confinement_w_max": 2,
+            "max_candidates": 4,
+            field: value,
+        }
+        p = tmp_path / "search.json"
+        p.write_text(json.dumps(config))
+        err = self.expect_usage_error(["search", str(p)], capsys)
+        assert field in err
+
+    def test_group_size_budget_has_no_flag_hint(self, tmp_path, capsys):
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(dict(ROW1, t=2, orders=[8193], generators=["1+x"] * 2)))
+        rc, out = run(["verify", str(p)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_BUDGET and out == ""
+        assert "4096" in err and "--w-exhaustive" not in err
+        assert len(err.splitlines()) == 1
 
 
 class TestFixturesAndTable:

@@ -1,15 +1,16 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmcodes import codeparams as cp
 from mmcodes.gf2 import BitMatrix, in_rowspace, mat_mul, rref, transpose
 from mmcodes.koszul import build_code
-from mmcodes.ring import GroupSpec, parse_poly
+from mmcodes.ring import GroupSpec, RingElem, parse_poly
 
 
 def make(orders, polys, names=None, q=None):
@@ -204,6 +205,52 @@ class TestIsdPass:
         assert len(want) == 30 * 31 // 2
 
 
+def brute_patterns(cols, max_w):
+    """(syndrome, support, weight) of every support of weight <= max_w."""
+    out = []
+    for w in range(max_w + 1):
+        for sub in itertools.combinations(range(len(cols)), w):
+            syn = 0
+            for i in sub:
+                syn ^= cols[i]
+            out.append((syn, sum(1 << i for i in sub), w))
+    return out
+
+
+# Up to 12 columns of 0-6 rows, so syndromes collide often.
+small_columns = st.integers(0, 6).flatmap(
+    lambda rows: st.lists(st.integers(0, 2**rows - 1), max_size=12)
+)
+
+
+class TestSyndromeEnumeration:
+    @settings(max_examples=150, deadline=None)
+    @given(cols=small_columns, max_w=st.integers(0, 3))
+    def test_mitm_buckets_match_brute_force(self, cols, max_w):
+        want: dict[int, list] = {}
+        for syn, sup, w in brute_patterns(cols, max_w):
+            want.setdefault(syn, []).append((sup, w))
+        got = cp._syndrome_patterns(cols, max_w)
+        assert {s: sorted(g) for s, g in got.items()} == {
+            s: sorted(g) for s, g in want.items()
+        }
+
+    @settings(max_examples=150, deadline=None)
+    @given(cols=small_columns, max_w=st.integers(0, 3))
+    def test_confinement_syndrome_sets_match_brute_force(self, cols, max_w):
+        """Confinement reads only the syndromes of each layer, the last one
+        streamed, and keeps their union up to each weight."""
+        seen = set()
+        for j, (syns, _) in enumerate(cp._syndrome_layers(cols, max_w)):
+            if 0 < j == max_w:
+                assert not isinstance(syns, list)
+            syns = list(syns)
+            assert len(syns) == math.comb(len(cols), j)
+            seen |= set(syns)
+            assert seen == {s for s, _, w in brute_patterns(cols, j)}
+        assert j == max_w
+
+
 class TestSingleShot:
     def test_t2_has_no_metachecks(self, toy6):
         with pytest.raises(cp.MetacheckAbsent):
@@ -267,7 +314,51 @@ class TestConnectedSubsets:
             assert set(got) == brute(neigh, ms)
 
 
+def brute_confinement(code, err_type, w_max):
+    """Exact confinement profile by its definition: an error is irreducible
+    when no member of its coset under the whole stabilizer span is lighter."""
+    h, stab = (code.p_x, code.p_z) if err_type == "Z" else (code.p_z, code.p_x)
+    span = {0}
+    for r in stab.row_ints():
+        span |= {s ^ r for s in span}
+    cols = h.col_ints()
+    best = [None] * w_max
+    for sup in cp.connected_subsets(cp._tanner_neighbors(h), w_max):
+        w = len(sup)
+        e = sum(1 << i for i in sup)
+        if min((e ^ s).bit_count() for s in span) < w:
+            continue
+        syn = 0
+        for i in sup:
+            syn ^= cols[i]
+        sw = syn.bit_count()
+        if sw and (best[w - 1] is None or sw < best[w - 1]):
+            best[w - 1] = sw
+    return tuple(cp._minplus_closure(best))
+
+
 class TestConfinement:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        orders=st.sampled_from([(3,), (4,), (5,), (6,), (2, 2), (2, 3), (8,)]),
+        t=st.sampled_from([2, 3]),
+        data=st.data(),
+    )
+    def test_exact_matches_brute_force(self, orders, t, data):
+        spec = GroupSpec(orders)
+        assume(t == 2 or spec.size <= 4)  # keeps the stabilizer span small
+        gens = []
+        for _ in range(t):
+            picks = data.draw(
+                st.lists(st.integers(0, spec.size - 1), min_size=1, max_size=3,
+                         unique=True)
+            )
+            gens.append(RingElem(spec, tuple(map(spec.index_to_exponents, picks))))
+        code, _ = build_code(gens, spec)
+        for et in ("X", "Z"):
+            got = cp.confinement_profile(code, et, 3)
+            assert got.entries == brute_confinement(code, et, 3)
+
     def test_w1_is_min_column_weight(self, row1):
         prof = cp.confinement_profile(row1, "Z", 1)
         assert prof.entries[0] == int(row1.p_x.to_dense().sum(axis=0).min())

@@ -1,8 +1,10 @@
-"""Golden pins for the randomized engines.
+"""Golden pins for the randomized engines and the CLI reports.
 
 The distance bounds below and the search digest were recorded with the
 original bit-by-bit information-set pass and column-by-column numpy RREF.
-Any rewrite of those kernels must reproduce them byte for byte: the
+The CLI digests were recorded while the exhaustive -> randomized escalation
+was still written out separately in each command.  Any rewrite of those
+kernels or of that escalation must reproduce them byte for byte: the
 determinism contract promises identical reports for a fixed
 ``(seed, workers)``.
 """
@@ -10,11 +12,12 @@ determinism contract promises identical reports for a fixed
 import functools
 import hashlib
 import io
+from importlib import resources
 
 import pytest
 
 from mmcodes import codeparams as cp
-from mmcodes.cli import build_from_config, load_fixture
+from mmcodes.cli import build_from_config, load_fixture, main
 from mmcodes.search import SearchConfig, run_search
 
 ISD_ITERATIONS = 20
@@ -85,6 +88,24 @@ SEARCH = SearchConfig(
 )
 SEARCH_SHA256 = "60e0a6e3cf89e38ec7311cdb7a2f195ce5d1a5389870b521de351109b42141cb"
 
+# CLI argv (fixture name in place of the config path) -> sha256 of stdout.
+CLI_SHA256 = {
+    "params tt72 --w-exhaustive 2 --iterations 20 --ss-w 2 --confinement-w 3"
+    " --seed 3 --workers 2":
+        "5ea7e7410c8dcb9b418a93e3ac17307b8f8eab4233c5b717575735a5b1d10479",
+    "params table2_row13 --w-exhaustive 3 --iterations 10 --seed 1":
+        "5795d78edb76ad6ccd1f337c1af8d5e7eec38d031bcb5d6e34848c2c2a7323d8",
+    "distance table2_row13 --type X --w-exhaustive 3 --iterations 20 --seed 7"
+    " --workers 2":
+        "068c622755a207dd6a3ea1bdeee355701aa0cc205d4aa8b7a388cd9019b8e592",
+    "table2 3 9 13 --iterations 20 --seed 1":
+        "a4c0c9d064b4e8d3902f25660bca8509895de4948a21b4f0181e318346ffc796",
+    "confine table2_row01 --type X --w-max 3":
+        "016777e8b1bef030cfcb680248e075f0f58c7163b41bff48c4e5e19c85161d01",
+    "confine table2_row02 --type Z --w-max 4 --mode cluster --seed 2":
+        "75cdb2a1077841114488bbc13dbe37c1ea4902e57d67615394905b203d112a79",
+}
+
 def key_id(key):
     return "-".join(map(str, key))
 
@@ -125,3 +146,13 @@ def test_search_stream_digest():
     sink = io.StringIO()
     run_search(SEARCH, sink)
     assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == SEARCH_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(CLI_SHA256))
+def test_cli_report_digest(command):
+    argv = command.split()
+    if argv[0] != "table2":
+        argv[1] = str(resources.files("mmcodes") / "fixtures" / f"{argv[1]}.json")
+    out = io.StringIO()
+    assert main(argv, out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CLI_SHA256[command]
