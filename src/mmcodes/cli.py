@@ -102,9 +102,21 @@ def _load_code(path: str) -> tuple[BuildConfig, MCssCode]:
     return cfg, build_from_config(cfg)
 
 
+class EnvError(Exception):
+    """A bad environment setting; reported as a usage error."""
+
+
 def enum_budget() -> int:
     env = os.environ.get("MMCODES_BUDGET")
-    return int(env) if env else cp.DEFAULT_ENUM_BUDGET
+    if not env:
+        return cp.DEFAULT_ENUM_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise EnvError(f"MMCODES_BUDGET must be a positive integer, got {env!r}")
+    return budget
 
 
 def _sha256(data: bytes) -> str:
@@ -314,7 +326,8 @@ def cmd_table2(args, out) -> int:
         k = cp.logical_count(code)
         stats = cp.check_weight_stats(code)
         d_pub = pub.get("d")
-        w_cert = cp._certifiable_w(code.n, d_pub or args.w_exhaustive, budget)
+        # Below w=1 nothing fits: let w=1 raise BudgetExceeded.
+        w_cert = max(1, cp._certifiable_w(code.n, d_pub or args.w_exhaustive, budget))
         bound = exhaustive = _lighter(
             cp.distance_exhaustive(code, "Z", w_cert, budget),
             cp.distance_exhaustive(code, "X", w_cert, budget),
@@ -500,6 +513,9 @@ def main(argv=None, out=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args, out)
+    except EnvError as exc:
+        sys.stderr.write(f"mmcodes {args.command}: error: {exc}\n")
+        return EXIT_USAGE
     except (ConfigError, ParseError, RingError, SearchError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

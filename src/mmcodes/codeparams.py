@@ -367,9 +367,12 @@ def _tanner_neighbors(h: BitMatrix) -> list[set[int]]:
     return neighbors
 
 
-def connected_subsets(neighbors: list[set[int]], max_size: int):
-    """Every connected vertex subset of size <= max_size, exactly once
-    (ESU-style enumeration rooted at the minimal vertex)."""
+def connected_subsets(neighbors: list[set[int]], max_size: int, roots=None):
+    """Every connected vertex subset of size <= max_size whose minimal vertex
+    is in ``roots`` (default: all), exactly once.  ESU-style: a subset grows
+    from its minimal vertex only through neighbours above it, each new vertex
+    taken from an extension list that excludes every vertex offered before,
+    so each subset is reached along exactly one path."""
     n = len(neighbors)
 
     def extend(sub: tuple[int, ...], ext: list[int], excl: frozenset[int],
@@ -385,9 +388,36 @@ def connected_subsets(neighbors: list[set[int]], max_size: int):
                 sub + (u,), ext + fresh, excl | {u} | set(fresh), root
             )
 
-    for v in range(n):
+    for v in range(n) if roots is None else sorted(roots):
         start_ext = [u for u in neighbors[v] if u > v]
         yield from extend((v,), start_ext, frozenset({v}) | set(start_ext), v)
+
+
+def _translation_roots(code: MCssCode, h: BitMatrix, stab: BitMatrix) -> range:
+    """Qubits that every connected cluster has a translate rooted at.
+
+    Qubits come in blocks of |G| = ``code.spec.size``.  If shifting every
+    block by one unit of each cyclic factor (these shifts generate G)
+    permutes the rows of ``h`` and of ``stab``, then so does every g in G,
+    and the block origins b*|G| are returned; otherwise every qubit."""
+    size, n = code.spec.size, h.cols
+    if n % size:
+        return range(n)
+
+    def rows(d: np.ndarray) -> list[bytes]:
+        return sorted(map(bytes, np.packbits(d, axis=1)))
+
+    col = np.arange(n)
+    dense = [m.to_dense() for m in (h, stab)]
+    want = [rows(d) for d in dense]
+    stride = 1
+    for order in reversed(code.spec.orders):
+        digit = col % size // stride % order
+        shift = col + stride * ((digit + 1) % order - digit)
+        stride *= order
+        if [rows(d[:, shift]) for d in dense] != want:
+            return range(n)
+    return range(0, n, size)
 
 
 def _minplus_closure(entries: list[int | None]) -> list[int | None]:
@@ -416,6 +446,15 @@ def confinement_profile(
     connected through the checks of the detecting matrix; disconnected
     errors are recovered by the min-plus closure (syndrome weight and
     reduced weight add across syndrome-disjoint components).
+
+    Exact mode enumerates only the clusters rooted at block origins.  This
+    is complete: translating every qubit block by the same g in G maps the
+    checks of ``h`` and the stabilizers onto themselves (all blocks are
+    circulants of G), so it keeps a cluster's weight, syndrome weight,
+    irreducibility and connectivity, and keeps each qubit in its block.  A
+    cluster whose minimum qubit is b*|G| + j has a translate, by -j, whose
+    minimum is the origin b*|G|.  ``_translation_roots`` checks this
+    invariance and falls back to every qubit when it does not hold.
     """
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
@@ -448,7 +487,8 @@ def confinement_profile(
             best[w - 1] = sw
 
     if mode == "exact":
-        for sup in connected_subsets(neighbors, w_max):
+        roots = _translation_roots(code, h, stab)
+        for sup in connected_subsets(neighbors, w_max, roots):
             consider(sup)
     else:
         rng = np.random.default_rng([seed, 1])

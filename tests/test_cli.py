@@ -300,6 +300,24 @@ class TestBadInput:
         err = self.expect_usage_error(["search", str(p)], capsys)
         assert field in err
 
+    @pytest.mark.parametrize("value", ["abc", "-1", "0", "1.5", "\u00b2"])
+    @pytest.mark.parametrize("argv", [
+        ["distance", ROW13, "--type", "Z", "--w-exhaustive", "2"],
+        ["table2", "1", "--iterations", "0"],
+    ], ids=["distance", "table2"])
+    def test_budget_env_must_be_positive_integer(self, argv, value, monkeypatch,
+                                                 capsys):
+        monkeypatch.setenv("MMCODES_BUDGET", value)
+        err = self.expect_usage_error(argv, capsys)
+        assert err.startswith(f"mmcodes {argv[0]}: error: MMCODES_BUDGET")
+
+    def test_table2_budget_below_one_weight(self, monkeypatch, capsys):
+        monkeypatch.setenv("MMCODES_BUDGET", "7")
+        rc, out = run(["table2", "1", "--iterations", "0"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_BUDGET and out == ""
+        assert err.startswith("error: enumeration needs") and "Traceback" not in err
+
     def test_group_size_budget_has_no_flag_hint(self, tmp_path, capsys):
         p = tmp_path / "big.json"
         p.write_text(json.dumps(dict(ROW1, t=2, orders=[8193], generators=["1+x"] * 2)))

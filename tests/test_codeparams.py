@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -312,6 +313,10 @@ class TestConnectedSubsets:
             got = list(cp.connected_subsets(neigh, ms))
             assert len(got) == len(set(got))
             assert set(got) == brute(neigh, ms)
+            roots = set(rnd.sample(range(n), rnd.randint(0, n)))
+            rooted = list(cp.connected_subsets(neigh, ms, roots))
+            assert len(rooted) == len(set(rooted))
+            assert set(rooted) == {s for s in got if s[0] in roots}
 
 
 def brute_confinement(code, err_type, w_max):
@@ -337,6 +342,16 @@ def brute_confinement(code, err_type, w_max):
     return tuple(cp._minplus_closure(best))
 
 
+def draw_generators(data, spec, t):
+    """t random ring elements with 1-3 distinct monomials each."""
+    monomials = st.lists(st.integers(0, spec.size - 1), min_size=1, max_size=3,
+                         unique=True)
+    return [
+        RingElem(spec, tuple(map(spec.index_to_exponents, data.draw(monomials))))
+        for _ in range(t)
+    ]
+
+
 class TestConfinement:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -347,15 +362,48 @@ class TestConfinement:
     def test_exact_matches_brute_force(self, orders, t, data):
         spec = GroupSpec(orders)
         assume(t == 2 or spec.size <= 4)  # keeps the stabilizer span small
-        gens = []
-        for _ in range(t):
-            picks = data.draw(
-                st.lists(st.integers(0, spec.size - 1), min_size=1, max_size=3,
-                         unique=True)
-            )
-            gens.append(RingElem(spec, tuple(map(spec.index_to_exponents, picks))))
+        gens = draw_generators(data, spec, t)
         code, _ = build_code(gens, spec)
         for et in ("X", "Z"):
+            got = cp.confinement_profile(code, et, 3)
+            assert got.entries == brute_confinement(code, et, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        orders=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        t=st.integers(2, 4),
+        data=st.data(),
+    )
+    def test_anchored_matches_every_root(self, orders, t, data):
+        spec = GroupSpec(tuple(orders))
+        assume(2 <= spec.size <= 8)
+        gens = draw_generators(data, spec, t)
+        code, _ = build_code(gens, spec, q_override=data.draw(st.integers(1, t - 1)))
+        w_max = data.draw(st.integers(3, 4 if code.n <= 24 else 3))
+        for et in ("X", "Z"):
+            h, stab = cp._select_check_pair(code, et)
+            assert cp._translation_roots(code, h, stab) == range(0, code.n, spec.size)
+            anchored = cp.confinement_profile(code, et, w_max)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cp, "_translation_roots",
+                           lambda code, h, stab: range(h.cols))
+                assert cp.confinement_profile(code, et, w_max) == anchored
+
+    def test_relabelled_qubits_are_not_anchored(self):
+        # Swapping qubits 0 and 5 breaks translation invariance: both block
+        # origins (qubits 0 and 4) now hold weight-3 columns of P_X, while the
+        # lightest columns have weight 2, so rooting at the origins alone
+        # would miss the lightest single-qubit Z error.
+        code = make([4], ["1+x", "1+x+x^2"])
+        perm = [5, 1, 2, 3, 4, 0, 6, 7]
+        code = dataclasses.replace(
+            code,
+            p_x=BitMatrix.from_dense(code.p_x.to_dense()[:, perm]),
+            p_z=BitMatrix.from_dense(code.p_z.to_dense()[:, perm]),
+        )
+        for et in ("X", "Z"):
+            h, stab = cp._select_check_pair(code, et)
+            assert cp._translation_roots(code, h, stab) == range(code.n)
             got = cp.confinement_profile(code, et, 3)
             assert got.entries == brute_confinement(code, et, 3)
 

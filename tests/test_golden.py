@@ -3,10 +3,11 @@
 The distance bounds below and the search digest were recorded with the
 original bit-by-bit information-set pass and column-by-column numpy RREF.
 The CLI digests were recorded while the exhaustive -> randomized escalation
-was still written out separately in each command.  Any rewrite of those
-kernels or of that escalation must reproduce them byte for byte: the
-determinism contract promises identical reports for a fixed
-``(seed, workers)``.
+was still written out separately in each command, and the three w=4
+confinement pins while exact confinement still rooted its clusters at every
+qubit.  Any rewrite of those kernels, of that escalation or of that
+enumeration must reproduce them byte for byte: the determinism contract
+promises identical reports for a fixed ``(seed, workers)``.
 """
 
 import functools
@@ -104,6 +105,13 @@ CLI_SHA256 = {
         "016777e8b1bef030cfcb680248e075f0f58c7163b41bff48c4e5e19c85161d01",
     "confine table2_row02 --type Z --w-max 4 --mode cluster --seed 2":
         "75cdb2a1077841114488bbc13dbe37c1ea4902e57d67615394905b203d112a79",
+    "confine tt72 --type X --w-max 4":
+        "685cd248dbe92a472956fa575c036f2b7e8c6595680952e02bc785a95c8bbfc5",
+    "confine lacross98 --type Z --w-max 4":
+        "9cdc45fd7274b095c3fa33f2d4ce09f8368c64b698e81ee51a248e06cdcda3e2",
+    "params table2_row01 --w-exhaustive 4 --iterations 20 --ss-w 4"
+    " --confinement-w 4 --seed 0":
+        "9c65090eec52ff2a6f812a3d259203cda40af0561b117ed0e54a9b49330d68af",
 }
 
 def key_id(key):
