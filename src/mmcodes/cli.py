@@ -18,11 +18,13 @@ from pathlib import Path
 
 from . import codeparams as cp
 from . import formats
-from .circulant import DEFAULT_SIZE_BUDGET, SizeBudgetExceeded
+from .circulant import SizeBudgetExceeded
 from .gf2 import GF2Error
 from .koszul import KoszulError, MCssCode, build_code, chain_dims
 from .ring import GroupSpec, ParseError, RingError, parse_poly
-from .search import SearchConfig, SearchError, run_search
+from .search import (
+    SearchConfig, SearchError, _checked, _is_int, _is_list, _is_str, run_search,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -58,42 +60,35 @@ def load_config(path: str) -> BuildConfig:
     return config_from_dict(doc, default_name=Path(path).stem)
 
 
+# JSON code-config field -> whether a value has the field's type and shape
+_CODE_FIELDS = {
+    "name": _is_str,
+    "t": _is_int,
+    "orders": _is_list,
+    "generators": lambda v: _is_list(v, _is_str),
+    "variables": lambda v: v is None or _is_list(v, _is_str),
+    "q_override": lambda v: v is None or _is_int(v),
+    "published": lambda v: v is None or isinstance(v, dict),
+}
+
+
 def config_from_dict(doc: dict, default_name: str = "") -> BuildConfig:
-    try:
-        t = int(doc["t"])
-        orders = tuple(int(o) for o in doc["orders"])
-        gens = tuple(str(g) for g in doc["generators"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"config missing/invalid field: {exc}") from exc
+    """The config a JSON code document describes.  A missing ``t``,
+    ``orders`` or ``generators``, or a field of the wrong type or shape,
+    raises ConfigError."""
+    fields = _checked(doc, _CODE_FIELDS, ("t", "orders", "generators"), "config",
+                      ConfigError)
+    t, gens = fields["t"], fields["generators"]
     if len(gens) != t:
         raise ConfigError(f"config has {len(gens)} generators but t={t}")
-    variables = doc.get("variables")
-    q_override = doc.get("q_override")
-    if q_override is not None and type(q_override) is not int:
-        raise ConfigError(f"q_override must be an integer, got {q_override!r}")
-    return BuildConfig(
-        name=str(doc.get("name", default_name)),
-        t=t,
-        orders=orders,
-        generators=gens,
-        variables=tuple(variables) if variables else None,
-        q_override=q_override,
-        published=doc.get("published"),
-    )
+    variables = fields.get("variables") or None
+    return BuildConfig(**{"name": default_name, **fields, "variables": variables})
 
 
-def build_from_config(
-    cfg: BuildConfig, size_budget: int = DEFAULT_SIZE_BUDGET
-) -> MCssCode:
+def build_from_config(cfg: BuildConfig) -> MCssCode:
     spec = GroupSpec(cfg.orders)
     gens = [parse_poly(g, spec, cfg.variables) for g in cfg.generators]
-    code, _ = build_code(
-        gens,
-        spec,
-        q_override=cfg.q_override,
-        size_budget=size_budget,
-        provenance={"name": cfg.name},
-    )
+    code, _ = build_code(gens, spec, q_override=cfg.q_override)
     return code
 
 

@@ -13,7 +13,7 @@ Distance search works in two regimes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import comb, inf
 
@@ -161,12 +161,14 @@ def logical_count(code: MCssCode) -> int:
     return code.n - rank(code.p_x) - rank(code.p_z)
 
 
-def _min_logical(
-    kv: dict[int, list[int]], stab_cache, w_max: int
-) -> DistanceBound:
+def _lightest(h: BitMatrix, trivial, w_max: int, budget: int) -> DistanceBound:
+    """The lightest v != 0 with h v^T = 0 and |v| <= w_max outside the row
+    space cached by ``trivial``, the first in lexicographic support order
+    among equal weights.  Its lower bound is certified, found or not."""
+    kv = low_weight_kernel_vectors(h, w_max, budget)
     for w in range(1, w_max + 1):
         for v in kv.get(w, []):
-            if not in_rowspace(stab_cache, v):
+            if not in_rowspace(trivial, v):
                 return DistanceBound(lower=w, upper=w, witness=_support_key(v))
     return DistanceBound(lower=w_max + 1, upper=None, witness=None)
 
@@ -181,8 +183,7 @@ def distance_exhaustive(
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
     p, opp = _select_check_pair(code, err_type)
-    kv = low_weight_kernel_vectors(p, w_max, budget)
-    return _min_logical(kv, rref(opp), w_max)
+    return _lightest(p, rref(opp), w_max, budget)
 
 
 # Byte cap on one block of row-pair XORs in ``_isd_pass``.
@@ -243,6 +244,45 @@ def _isd_pass(gen_dense: np.ndarray, rng: np.random.Generator, best_w: int):
             yield w, sup
 
 
+def _isd(
+    h: BitMatrix, trivial, iterations: int, seed: int, workers: int = 1,
+    stop_at: int | None = None,
+) -> DistanceBound:
+    """Upper bound on the lightest v != 0 in ker h outside the row space
+    cached by ``trivial``, from information-set passes over the kernel
+    generators (see ``distance_randomized``).  Among hits of the lightest
+    weight, the witness is the first in lexicographic support order."""
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    gen = kernel_basis(h)
+    if gen.rows == 0:
+        return DistanceBound(lower=1, upper=None, witness=None)
+    gen_dense = gen.to_dense()
+    best_w = h.cols + 1
+    best_sup: int | None = None
+    streams = [np.random.default_rng([seed, w]) for w in range(workers)]
+    done = False
+    for it in range(iterations):
+        if done:
+            break
+        rng = streams[it % workers]
+        for w, sup in _isd_pass(gen_dense, rng, best_w):
+            if w > best_w:
+                break
+            if w < best_w or (w == best_w and best_sup is not None
+                              and _support_key(sup) < _support_key(best_sup)):
+                if not in_rowspace(trivial, sup):
+                    best_w, best_sup = w, sup
+                    if stop_at is not None and best_w <= stop_at:
+                        done = True
+                        break
+    if best_sup is None:
+        return DistanceBound(lower=1, upper=None, witness=None)
+    return DistanceBound(lower=1, upper=best_w, witness=_support_key(best_sup))
+
+
 def distance_randomized(
     code: MCssCode,
     err_type: str,
@@ -260,37 +300,8 @@ def distance_randomized(
     ``it mod workers``, seeded by (seed, stream).  Nothing runs
     concurrently; the passes run one after another in this process.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     p, opp = _select_check_pair(code, err_type)
-    gen = kernel_basis(p)
-    if gen.rows == 0:
-        return DistanceBound(lower=1, upper=None, witness=None)
-    gen_dense = gen.to_dense()
-    opp_cache = rref(opp)
-    best_w = code.n + 1
-    best_sup: int | None = None
-    streams = [np.random.default_rng([seed, w]) for w in range(workers)]
-    done = False
-    for it in range(iterations):
-        if done:
-            break
-        rng = streams[it % workers]
-        for w, sup in _isd_pass(gen_dense, rng, best_w):
-            if w > best_w:
-                break
-            if w < best_w or (w == best_w and best_sup is not None
-                              and _support_key(sup) < _support_key(best_sup)):
-                if not in_rowspace(opp_cache, sup):
-                    best_w, best_sup = w, sup
-                    if stop_at is not None and best_w <= stop_at:
-                        done = True
-                        break
-    if best_sup is None:
-        return DistanceBound(lower=1, upper=None, witness=None)
-    return DistanceBound(lower=1, upper=best_w, witness=_support_key(best_sup))
+    return _isd(p, rref(opp), iterations, seed, workers, stop_at)
 
 
 def _escalate(
@@ -302,9 +313,9 @@ def _escalate(
     if bound.upper is not None or iterations < 1:
         return bound
     r = distance_randomized(code, err_type, iterations, seed, workers, stop_at)
-    if r.upper is None:
-        return bound
-    return DistanceBound(lower=bound.lower, upper=r.upper, witness=r.witness)
+    if r.upper is not None:
+        bound = replace(bound, upper=r.upper, witness=r.witness)
+    return bound
 
 
 def single_shot_distance(
@@ -316,7 +327,10 @@ def single_shot_distance(
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> DistanceBound:
     """Minimum weight of a syndrome passing the metachecks yet not realizable
-    by any error: s in ker(M) minus the column space of the check matrix."""
+    by any error: s in ker(M) minus the column space of the check matrix.
+    That is the distance problem of the pair (M, P^T), solved by the same
+    exhaustive and information-set cores as ``distance_exhaustive`` and
+    ``distance_randomized`` (stream (seed, 0))."""
     if check_type == "X":
         m, p = code.m_x, code.p_x
     elif check_type == "Z":
@@ -327,29 +341,13 @@ def single_shot_distance(
         raise MetacheckAbsent(
             f"no {check_type}-metacheck for t={code.t}, q={code.q}"
         )
-    valid_cache = rref(transpose(p))
-    kv = low_weight_kernel_vectors(m, w_max, budget)
-    bound = _min_logical(kv, valid_cache, w_max)
-    if bound.upper is not None or iterations < 1:
-        return bound
-    gen = kernel_basis(m)
-    if gen.rows == 0:
-        return bound
-    gen_dense = gen.to_dense()
-    best_w = m.cols + 1
-    best_sup = None
-    rng = np.random.default_rng([seed, 0])
-    for _ in range(iterations):
-        for w, sup in _isd_pass(gen_dense, rng, best_w):
-            if w >= best_w:
-                break
-            if not in_rowspace(valid_cache, sup):
-                best_w, best_sup = w, sup
-    if best_sup is None:
-        return bound
-    return DistanceBound(
-        lower=bound.lower, upper=best_w, witness=_support_key(best_sup)
-    )
+    valid = rref(transpose(p))
+    bound = _lightest(m, valid, w_max, budget)
+    if bound.upper is None and iterations >= 1:
+        r = _isd(m, valid, iterations, seed)
+        if r.upper is not None:
+            bound = replace(bound, upper=r.upper, witness=r.witness)
+    return bound
 
 
 # ---- confinement ------------------------------------------------------
@@ -593,6 +591,25 @@ def profile_min(*profiles: ConfinementProfile | None) -> int | None:
     return min(vals) if vals else None
 
 
+def _report(
+    code: MCssCode, name: str, k: int, d: dict[str, DistanceBound],
+    d_ss: dict[str, DistanceBound | None], confinement_w: int | None,
+    seed: int, workers: int, params: dict,
+) -> CodeReport:
+    """The report on ``code`` from its distance and single-shot bounds (keyed
+    by "X" and "Z"), adding the confinement profiles up to ``confinement_w``
+    (none when None), ``d_s`` and the check weights."""
+    conf = {et: None if confinement_w is None else
+            confinement_profile(code, et, confinement_w, seed=seed)
+            for et in ("X", "Z")}
+    return CodeReport(
+        name=name, n=code.n, k=k, d_x=d["X"], d_z=d["Z"], d_ss_x=d_ss["X"],
+        d_ss_z=d_ss["Z"], confinement_x=conf["X"], confinement_z=conf["Z"],
+        d_s=profile_min(*conf.values()), weights=check_weight_stats(code),
+        seed=seed, workers=workers, params=params,
+    )
+
+
 def analyze(
     code: MCssCode,
     name: str = "",
@@ -610,37 +627,9 @@ def analyze(
     for et in ("X", "Z"):
         b = distance_exhaustive(code, et, w_exhaustive, budget)
         bounds[et] = _escalate(code, et, b, iterations, seed, workers)
-
-    sdx = sdz = None
-    if ss_w is not None:
-        if code.m_x is not None:
-            sdx = single_shot_distance(code, "X", ss_w, iterations, seed, budget)
-        if code.m_z is not None:
-            sdz = single_shot_distance(code, "Z", ss_w, iterations, seed, budget)
-
-    cx = cz = None
-    if confinement_w is not None:
-        cx = confinement_profile(code, "X", confinement_w, seed=seed)
-        cz = confinement_profile(code, "Z", confinement_w, seed=seed)
-
-    return CodeReport(
-        name=name,
-        n=code.n,
-        k=k,
-        d_x=bounds["X"],
-        d_z=bounds["Z"],
-        d_ss_x=sdx,
-        d_ss_z=sdz,
-        confinement_x=cx,
-        confinement_z=cz,
-        d_s=profile_min(cx, cz),
-        weights=check_weight_stats(code),
-        seed=seed,
-        workers=workers,
-        params={
-            "w_exhaustive": w_exhaustive,
-            "iterations": iterations,
-            "confinement_w": confinement_w,
-            "ss_w": ss_w,
-        },
-    )
+    d_ss = {et: None if ss_w is None or m is None else
+            single_shot_distance(code, et, ss_w, iterations, seed, budget)
+            for et, m in (("X", code.m_x), ("Z", code.m_z))}
+    params = {"w_exhaustive": w_exhaustive, "iterations": iterations,
+              "confinement_w": confinement_w, "ss_w": ss_w}
+    return _report(code, name, k, bounds, d_ss, confinement_w, seed, workers, params)

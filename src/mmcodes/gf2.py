@@ -129,9 +129,6 @@ class BitMatrix:
         )
         return bits[:, : self.cols]
 
-    def row_int(self, i: int) -> int:
-        return _words_to_ints(self.words[[i]])[0]
-
     def row_ints(self) -> list[int]:
         return _words_to_ints(self.words)
 

@@ -9,13 +9,13 @@ shape C(t,k-1)*n x C(t,k)*n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from .circulant import DEFAULT_SIZE_BUDGET, circulant_commute_check, poly_to_circulant
+from .circulant import circulant_commute_check, poly_to_circulant
 from .gf2 import BitMatrix, DimensionMismatch, GF2Error, mat_mul, transpose
 from .ring import GroupSpec, RingElem
 
@@ -61,10 +61,7 @@ def symbolic_boundaries(t: int) -> SymbolicBoundary:
 
 
 def instantiate(
-    sym: SymbolicBoundary,
-    gens: list[RingElem],
-    spec: GroupSpec,
-    size_budget: int = DEFAULT_SIZE_BUDGET,
+    sym: SymbolicBoundary, gens: list[RingElem], spec: GroupSpec
 ) -> list[BitMatrix]:
     """Substitute each generator index with its circulant block."""
     if len(gens) != sym.t:
@@ -72,7 +69,7 @@ def instantiate(
     for g in gens:
         if g.spec != spec:
             raise KoszulError("generator spec mismatch")
-    circs = [poly_to_circulant(g, spec, size_budget) for g in gens]
+    circs = [poly_to_circulant(g, spec) for g in gens]
     if not circulant_commute_check(circs):
         raise KoszulError("circulant blocks do not commute pairwise")
     n = spec.size
@@ -116,7 +113,6 @@ class MCssCode:
     generators: tuple[RingElem, ...]
     t: int
     q: int
-    provenance: dict = field(default_factory=dict)
 
 
 def extract_mcss(
@@ -125,7 +121,6 @@ def extract_mcss(
     spec: GroupSpec,
     gens: list[RingElem],
     q_override: int | None = None,
-    provenance: dict | None = None,
 ) -> MCssCode:
     """Pick qubits in degree q and read the check/metacheck matrices off the
     surrounding maps.  All orthogonality conditions are asserted."""
@@ -154,7 +149,6 @@ def extract_mcss(
         generators=tuple(gens),
         t=t,
         q=q,
-        provenance=dict(provenance or {}),
     )
 
 
@@ -162,15 +156,13 @@ def build_code(
     gens: list[RingElem],
     spec: GroupSpec,
     q_override: int | None = None,
-    size_budget: int = DEFAULT_SIZE_BUDGET,
-    provenance: dict | None = None,
 ) -> tuple[MCssCode, list[BitMatrix]]:
     """Full pipeline: symbolic maps, circulant instantiation, chain-condition
     check, mCSS extraction.  Returns the code and the instantiated maps."""
     t = len(gens)
     sym = symbolic_boundaries(t)
-    maps = instantiate(sym, gens, spec, size_budget)
+    maps = instantiate(sym, gens, spec)
     if not verify_complex(maps):
         raise KoszulError("chain condition failed: some d_k d_{k+1} != 0")
-    code = extract_mcss(maps, t, spec, gens, q_override, provenance)
+    code = extract_mcss(maps, t, spec, gens, q_override)
     return code, maps

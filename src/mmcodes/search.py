@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codeparams as cp
-from .circulant import DEFAULT_SIZE_BUDGET
 from .koszul import build_code
 from .ring import GroupSpec, RingElem, _names_for, parse_poly, render
 
@@ -28,12 +27,28 @@ def _is_int(v) -> bool:
     return type(v) is int
 
 
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
 def _is_list(v, item=_is_int, length: int | None = None) -> bool:
     return isinstance(v, list) and length in (None, len(v)) and all(map(item, v))
 
 
 def _tuples(v):
     return tuple(map(_tuples, v)) if isinstance(v, list) else v
+
+
+def _checked(doc, fields: dict, required: tuple, what: str, error=SearchError):
+    """The entries of the JSON object ``doc`` named in ``fields``, lists
+    turned into tuples, after checking that ``doc`` has every ``required``
+    field and that each value passes its field's check; else ``error``."""
+    if not isinstance(doc, dict) or not all(k in doc for k in required):
+        raise error(f"{what} must be an object with fields {', '.join(required)}")
+    for key, ok in fields.items():
+        if key in doc and not ok(doc[key]):
+            raise error(f"{what} {key} is malformed: {doc[key]!r}")
+    return {k: _tuples(doc[k]) for k in fields if k in doc}
 
 
 # JSON search-config field -> whether a value has the field's type and shape
@@ -46,7 +61,7 @@ _FIELDS = dict.fromkeys(
     "distance_budget": lambda v: _is_list(v, length=2),
     "confinement_w_max": lambda v: v is None or _is_int(v),
     "structured_families": lambda v: (
-        v is None or _is_list(v, lambda f: isinstance(f, str))
+        v is None or _is_list(v, _is_str)
     ),
 }
 
@@ -90,12 +105,7 @@ class SearchConfig:
         """The config a JSON search document describes; absent fields but
         ``t`` and ``orders`` keep their defaults.  A field of the wrong type
         or shape, such as a non-integer number, raises SearchError."""
-        if not isinstance(doc, dict) or not {"t", "orders"} <= doc.keys():
-            raise SearchError("search config must be an object with t and orders")
-        for key, ok in _FIELDS.items():
-            if key in doc and not ok(doc[key]):
-                raise SearchError(f"search config {key} is malformed: {doc[key]!r}")
-        return cls(**{k: _tuples(doc[k]) for k in _FIELDS if k in doc})
+        return cls(**_checked(doc, _FIELDS, ("t", "orders"), "search config"))
 
 
 @dataclass(frozen=True)
@@ -161,10 +171,7 @@ def canonical_key(spec: GroupSpec, gens) -> tuple:
 
 
 def evaluate_candidate(
-    gens: list[RingElem],
-    spec: GroupSpec,
-    config: SearchConfig,
-    size_budget: int = DEFAULT_SIZE_BUDGET,
+    gens: list[RingElem], spec: GroupSpec, config: SearchConfig
 ) -> cp.CodeReport | Rejection:
     rendered = tuple(render(g) for g in gens)
 
@@ -172,7 +179,7 @@ def evaluate_candidate(
         return Rejection(stage, cause, spec.orders, rendered)
 
     try:
-        code, _ = build_code(gens, spec, size_budget=size_budget)
+        code, _ = build_code(gens, spec)
     except Exception as exc:  # noqa: BLE001 - construction errors become rejections
         return reject(1, f"{type(exc).__name__}: {exc}")
     k = cp.logical_count(code)
@@ -193,35 +200,10 @@ def evaluate_candidate(
         if b.upper is not None and b.upper < config.require_d_min:
             return reject(4, f"d_{et.lower()} <= {b.upper}")
         bounds[et] = b
-    cx = cz = None
-    if config.confinement_w_max is not None:
-        cx = cp.confinement_profile(
-            code, "X", config.confinement_w_max, seed=config.seed
-        )
-        cz = cp.confinement_profile(
-            code, "Z", config.confinement_w_max, seed=config.seed
-        )
-    return cp.CodeReport(
-        name="search",
-        n=code.n,
-        k=k,
-        d_x=bounds["X"],
-        d_z=bounds["Z"],
-        d_ss_x=None,
-        d_ss_z=None,
-        confinement_x=cx,
-        confinement_z=cz,
-        d_s=cp.profile_min(cx, cz),
-        weights=cp.check_weight_stats(code),
-        seed=config.seed,
-        workers=config.workers,
-        params={
-            "orders": list(spec.orders),
-            "generators": list(rendered),
-            "w_exhaustive": w_exh,
-            "iterations": iters,
-        },
-    )
+    params = {"orders": list(spec.orders), "generators": list(rendered),
+              "w_exhaustive": w_exh, "iterations": iters}
+    return cp._report(code, "search", k, bounds, {"X": None, "Z": None},
+                      config.confinement_w_max, config.seed, config.workers, params)
 
 
 def run_search(config: SearchConfig, sink=None) -> list[cp.CodeReport]:

@@ -267,6 +267,29 @@ class TestBadInput:
         assert "q_override" in err
 
     @pytest.mark.parametrize(
+        "patch",
+        [
+            {"variables": 5},
+            {"orders": [3.7]},
+            {"t": "2"},
+            {"t": 2.0},
+            {"t": True, "generators": ["1+x"]},
+            {"generators": "ab"},
+        ],
+        ids=["variables", "orders-float", "t-str", "t-float", "t-bool",
+             "generators-str"],
+    )
+    def test_code_config_field_is_checked(self, patch, tmp_path, capsys):
+        """Each of these used to be coerced or to end in a traceback:
+        variables 5 raised TypeError, orders [3.7] built a code over Z_3, "2",
+        2.0 and true were taken as t, and "ab" was split into two generators."""
+        config = {"t": 2, "orders": [3], "generators": ["1+x", "1+x"], **patch}
+        p = tmp_path / "code.json"
+        p.write_text(json.dumps(config))
+        err = self.expect_usage_error(["verify", str(p)], capsys)
+        assert next(iter(patch)) in err
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("t", 4.0),
@@ -332,6 +355,7 @@ class TestFixturesAndTable:
     def test_all_fixtures_load_and_build(self):
         names = fixture_names()
         assert len([n for n in names if n.startswith("table2_row")]) == 21
+        assert len(names) == 30 and all(load_fixture(n).published for n in names)
         for name in ("toric4d.json", "tt72.json", "bga16.json"):
             cfg = load_fixture(name)
             code = build_from_config(cfg)

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmcodes import codeparams as cp
-from mmcodes.gf2 import BitMatrix, in_rowspace, mat_mul, rref, transpose
+from mmcodes.cli import build_from_config, load_fixture
+from mmcodes.gf2 import BitMatrix, in_rowspace, kernel_basis, mat_mul, rref, transpose
 from mmcodes.koszul import build_code
 from mmcodes.ring import GroupSpec, RingElem, parse_poly
 
@@ -252,7 +253,52 @@ class TestSyndromeEnumeration:
         assert j == max_w
 
 
+def reference_single_shot(code, check_type, w_max, iterations, seed):
+    """The single-shot distance with its original information-set loop: a
+    hit replaces the best only when strictly lighter, so the first hit of
+    each weight is kept."""
+    m, p = (code.m_x, code.p_x) if check_type == "X" else (code.m_z, code.p_z)
+    bound = cp.single_shot_distance(code, check_type, w_max)
+    gen = kernel_basis(m)
+    if bound.upper is not None or gen.rows == 0:
+        return bound
+    valid = rref(transpose(p))
+    gen_dense = gen.to_dense()
+    best_w, best_sup = m.cols + 1, None
+    rng = np.random.default_rng([seed, 0])
+    for _ in range(iterations):
+        for w, sup in cp._isd_pass(gen_dense, rng, best_w):
+            if w >= best_w:
+                break
+            if not in_rowspace(valid, sup):
+                best_w, best_sup = w, sup
+    if best_sup is None:
+        return bound
+    return cp.DistanceBound(bound.lower, best_w, cp._support_key(best_sup))
+
+
 class TestSingleShot:
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    @pytest.mark.parametrize("name, check_type", [
+        ("tt72", "Z"), ("table2_row01", "X"), ("table2_row01", "Z"),
+        ("table2_row13", "X"), ("table2_row13", "Z"), ("toric4d", "X"),
+        ("toric4d", "Z"),
+    ])
+    def test_shared_tie_rule_keeps_bounds(self, name, check_type, seed):
+        """Sharing distance's tie rule may only move the witness to an
+        equal-weight one that is lexicographically no larger."""
+        code = build_from_config(load_fixture(f"{name}.json"))
+        m, p = (code.m_x, code.p_x) if check_type == "X" else (code.m_z, code.p_z)
+        new = cp.single_shot_distance(code, check_type, 1, iterations=10, seed=seed)
+        old = reference_single_shot(code, check_type, 1, 10, seed)
+        assert (new.lower, new.upper) == (old.lower, old.upper)
+        assert new.upper is not None
+        s = np.zeros(m.cols, dtype=np.uint8)
+        s[list(new.witness)] = 1
+        assert not (m.to_dense() @ s % 2).any()
+        assert not in_rowspace(rref(transpose(p)), s)
+        assert new.witness <= old.witness
+
     def test_t2_has_no_metachecks(self, toy6):
         with pytest.raises(cp.MetacheckAbsent):
             cp.single_shot_distance(toy6, "X", 2)
@@ -353,6 +399,14 @@ def draw_generators(data, spec, t):
 
 
 class TestConfinement:
+    def test_row02_reproduces_the_criterion_4_profile(self):
+        """The [8,8,8,8] profile that criterion 4 asserts for a weight-2
+        generator code is the exact profile of table2_row02."""
+        code = build_from_config(load_fixture("table2_row02.json"))
+        for et in ("X", "Z"):
+            prof = cp.confinement_profile(code, et, 4)
+            assert prof.entries == (8, 8, 8, 8) and prof.mode == "exact"
+
     @settings(max_examples=40, deadline=None)
     @given(
         orders=st.sampled_from([(3,), (4,), (5,), (6,), (2, 2), (2, 3), (8,)]),

@@ -8,8 +8,17 @@ confinement pins while exact confinement still rooted its clusters at every
 qubit.  Any rewrite of those kernels, of that escalation or of that
 enumeration must reproduce them byte for byte: the determinism contract
 promises identical reports for a fixed ``(seed, workers)``.
+
+Two pins were re-recorded on purpose when the single-shot distance moved
+onto the distance engine and its tie rule: the ``SINGLE_SHOT`` witness of
+tt72 and the digest of ``params tt72 ... --ss-w 2``, whose ``d_ss_z``
+witness changes.  Among equal-weight hits of a pass the single-shot
+witness is now the lexicographically smallest, not the first found; the
+bounds are unchanged (``test_shared_tie_rule_keeps_bounds`` in
+``test_codeparams.py`` checks this against the original loop).
 """
 
+import dataclasses
 import functools
 import hashlib
 import io
@@ -71,7 +80,7 @@ STOP_AT = {
 # exhaustive stage finds nothing up to w_max, so the upper bound and its
 # witness come from the information-set passes.
 SINGLE_SHOT = {
-    ("tt72", "Z", 2): {"lower": 3, "upper": 6, "witness": [10, 21, 25, 31, 40, 48]},
+    ("tt72", "Z", 2): {"lower": 3, "upper": 6, "witness": [0, 1, 14, 41, 45, 68]},
     ("table2_row13", "X", 2): {"lower": 3, "upper": 3, "witness": [63, 64, 65]},
 }
 
@@ -89,11 +98,19 @@ SEARCH = SearchConfig(
 )
 SEARCH_SHA256 = "60e0a6e3cf89e38ec7311cdb7a2f195ce5d1a5389870b521de351109b42141cb"
 
+# The same search, shorter, with confinement profiles on accepted candidates.
+CONFINE_SEARCH = dataclasses.replace(
+    SEARCH, distance_budget=(3, 10), max_candidates=12, confinement_w_max=3
+)
+CONFINE_SEARCH_SHA256 = (
+    "9996d9a810bb98df951cc4a48e6fc839a27c9d66476597107180fe4ae7c63bd7"
+)
+
 # CLI argv (fixture name in place of the config path) -> sha256 of stdout.
 CLI_SHA256 = {
     "params tt72 --w-exhaustive 2 --iterations 20 --ss-w 2 --confinement-w 3"
     " --seed 3 --workers 2":
-        "5ea7e7410c8dcb9b418a93e3ac17307b8f8eab4233c5b717575735a5b1d10479",
+        "80cd4176dee8e2795b54798d6a7200323758ed64a8085d0cb288a9d767767ab0",
     "params table2_row13 --w-exhaustive 3 --iterations 10 --seed 1":
         "5795d78edb76ad6ccd1f337c1af8d5e7eec38d031bcb5d6e34848c2c2a7323d8",
     "distance table2_row13 --type X --w-exhaustive 3 --iterations 20 --seed 7"
@@ -154,6 +171,13 @@ def test_search_stream_digest():
     sink = io.StringIO()
     run_search(SEARCH, sink)
     assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == SEARCH_SHA256
+
+
+def test_confinement_search_stream_digest():
+    sink = io.StringIO()
+    run_search(CONFINE_SEARCH, sink)
+    digest = hashlib.sha256(sink.getvalue().encode()).hexdigest()
+    assert digest == CONFINE_SEARCH_SHA256
 
 
 @pytest.mark.parametrize("command", sorted(CLI_SHA256))
