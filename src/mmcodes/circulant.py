@@ -23,6 +23,9 @@ class SizeBudgetExceeded(Exception):
         self.budget = budget
         super().__init__(f"group size {n} exceeds the size budget {budget}")
 
+    def __reduce__(self):
+        return type(self), (self.n, self.budget)
+
 
 def poly_to_circulant(
     f: RingElem, spec: GroupSpec, size_budget: int = DEFAULT_SIZE_BUDGET

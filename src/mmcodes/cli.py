@@ -223,7 +223,8 @@ def cmd_ssdist(args, out) -> int:
     cfg, code = _load_code(args.config)
     try:
         bound = cp.single_shot_distance(
-            code, args.type, args.w_max, args.iterations, args.seed, enum_budget()
+            code, args.type, args.w_max, args.iterations, args.seed, enum_budget(),
+            args.workers,
         )
     except cp.MetacheckAbsent as exc:
         _emit({"name": cfg.name, "error": str(exc)}, out)
@@ -475,7 +476,12 @@ def make_parser() -> argparse.ArgumentParser:
     se.add_argument("config")
     se.add_argument("--out", default=None)
     se.add_argument("--seed", type=int, default=None)
-    se.add_argument("--workers", type=positive_int, default=None)
+    se.add_argument(
+        "--workers", type=positive_int, default=None,
+        help="number of RNG streams the candidates cycle through (default: "
+        "the config's); candidates are evaluated on up to this many "
+        "processes, capped at the usable CPUs, with the same output",
+    )
     se.set_defaults(func=cmd_search)
 
     e = sub.add_parser("export", help="export one matrix")

@@ -35,6 +35,9 @@ class BudgetExceeded(Exception):
             "lower w_max or raise the budget (MMCODES_BUDGET)"
         )
 
+    def __reduce__(self):
+        return type(self), (self.needed, self.budget)
+
 
 class MetacheckAbsent(Exception):
     pass
@@ -325,12 +328,14 @@ def single_shot_distance(
     iterations: int = 0,
     seed: int = 0,
     budget: int = DEFAULT_ENUM_BUDGET,
+    workers: int = 1,
 ) -> DistanceBound:
     """Minimum weight of a syndrome passing the metachecks yet not realizable
     by any error: s in ker(M) minus the column space of the check matrix.
     That is the distance problem of the pair (M, P^T), solved by the same
     exhaustive and information-set cores as ``distance_exhaustive`` and
-    ``distance_randomized`` (stream (seed, 0))."""
+    ``distance_randomized`` (passes cycling through the streams (seed, w),
+    w < workers)."""
     if check_type == "X":
         m, p = code.m_x, code.p_x
     elif check_type == "Z":
@@ -344,7 +349,7 @@ def single_shot_distance(
     valid = rref(transpose(p))
     bound = _lightest(m, valid, w_max, budget)
     if bound.upper is None and iterations >= 1:
-        r = _isd(m, valid, iterations, seed)
+        r = _isd(m, valid, iterations, seed, workers)
         if r.upper is not None:
             bound = replace(bound, upper=r.upper, witness=r.witness)
     return bound
@@ -628,7 +633,7 @@ def analyze(
         b = distance_exhaustive(code, et, w_exhaustive, budget)
         bounds[et] = _escalate(code, et, b, iterations, seed, workers)
     d_ss = {et: None if ss_w is None or m is None else
-            single_shot_distance(code, et, ss_w, iterations, seed, budget)
+            single_shot_distance(code, et, ss_w, iterations, seed, budget, workers)
             for et, m in (("X", code.m_x), ("Z", code.m_z))}
     params = {"w_exhaustive": w_exhaustive, "iterations": iterations,
               "confinement_w": confinement_w, "ss_w": ss_w}

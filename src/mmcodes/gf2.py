@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 WORD = 64
+# Most packed words of ``b`` that ``mat_mul`` gathers at once.
+MAT_MUL_BLOCK_BYTES = 32 * 2**20
 
 
 class GF2Error(Exception):
@@ -35,6 +37,9 @@ class DimensionMismatch(GF2Error):
         self.shape_a = tuple(shape_a)
         self.shape_b = tuple(shape_b)
         super().__init__(f"{op}: incompatible shapes {self.shape_a} and {self.shape_b}")
+
+    def __reduce__(self):
+        return type(self), (self.op, self.shape_a, self.shape_b)
 
 
 def _nwords(cols: int) -> int:
@@ -184,16 +189,22 @@ class RrefCache:
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Product over GF(2).  Each output row is the XOR of the rows of ``b``
-    selected by the bits of the corresponding row of ``a``."""
+    selected by the bits of the corresponding row of ``a``: the selected
+    packed rows of ``b`` are gathered in row-of-``a`` order and each
+    output row's run is XOR-reduced by one ``reduceat``.  The set bits of
+    ``a`` go in blocks that keep the gathered words under
+    ``MAT_MUL_BLOCK_BYTES``; a row split between blocks XORs in twice."""
     if a.cols != b.rows:
         raise DimensionMismatch("mat_mul", a.shape, b.shape)
     out = np.zeros((a.rows, _nwords(b.cols)), dtype=np.uint64)
-    if a.rows and b.rows and b.cols:
-        abits = a.to_dense().astype(bool)
-        for i in range(a.rows):
-            sel = abits[i]
-            if sel.any():
-                out[i] = np.bitwise_xor.reduce(b.words[sel], axis=0)
+    rows, cols = np.nonzero(a.to_dense())
+    step = max(1, MAT_MUL_BLOCK_BYTES // out.shape[1] // 8)
+    for lo in range(0, rows.size, step):
+        r = rows[lo : lo + step]
+        starts = np.flatnonzero(np.diff(r, prepend=-1))
+        out[r[starts]] ^= np.bitwise_xor.reduceat(
+            b.words[cols[lo : lo + step]], starts, axis=0
+        )
     return BitMatrix(a.rows, b.cols, out)
 
 

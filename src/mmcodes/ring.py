@@ -31,8 +31,12 @@ class SpecMismatch(RingError):
 
 class ParseError(RingError):
     def __init__(self, message: str, offset: int):
+        self.message = message
         self.offset = offset
         super().__init__(f"{message} (at offset {offset})")
+
+    def __reduce__(self):
+        return type(self), (self.message, self.offset)
 
 
 @dataclass(frozen=True)

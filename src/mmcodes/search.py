@@ -8,7 +8,9 @@ footer with per-stage rejection counters.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -206,19 +208,35 @@ def evaluate_candidate(
                       config.confinement_w_max, config.seed, config.workers, params)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _evaluate(candidate: tuple) -> cp.CodeReport | Rejection:
+    """``evaluate_candidate`` on one (gens, spec, config) tuple; a module
+    function, so that a pool can send it to its processes by name."""
+    return evaluate_candidate(*candidate)
+
+
 def run_search(config: SearchConfig, sink=None) -> list[cp.CodeReport]:
     """Evaluate max_candidates random candidates; write each accepted report
     (and a final telemetry record) to sink as JSONL; return the accepts.
 
     Candidate i draws its rng stream from (seed, i mod workers,
-    i div workers), so results are reproducible for a fixed worker count
-    and a worker pool evaluating disjoint index slices would see the same
-    streams.  ``workers`` only splits the streams: candidates are evaluated
-    one after another in this process, nothing runs concurrently.
+    i div workers), so results are reproducible for a fixed worker count.
+    Every candidate is sampled and deduplicated here first; the distinct
+    ones are then evaluated on min(workers, usable CPUs, distinct
+    candidates) forked processes, handed out one at a time and collected
+    in candidate order.  The reports therefore depend on (seed, workers)
+    only, never on how many processes ran.  With one process (or no fork
+    on this platform) the candidates are evaluated in this process.
     """
-    accepted: list[cp.CodeReport] = []
     seen: set[tuple] = set()
-    rejected_by_stage: dict[int, int] = {}
+    candidates = []
     duplicates = 0
     for i in range(config.max_candidates):
         rng = np.random.default_rng(
@@ -231,16 +249,30 @@ def run_search(config: SearchConfig, sink=None) -> list[cp.CodeReport]:
             duplicates += 1
             continue
         seen.add(key)
-        result = evaluate_candidate(gens, spec, config)
-        if isinstance(result, Rejection):
-            rejected_by_stage[result.stage] = (
-                rejected_by_stage.get(result.stage, 0) + 1
-            )
-            continue
-        accepted.append(result)
-        if sink is not None:
-            rec = {"record": "report", **result.to_dict()}
-            sink.write(json.dumps(rec, sort_keys=True) + "\n")
+        candidates.append((gens, spec, config))
+
+    accepted: list[cp.CodeReport] = []
+    rejected_by_stage: dict[int, int] = {}
+    processes = min(config.workers, _usable_cpus(), len(candidates))
+    with contextlib.ExitStack() as stack:
+        results = map(_evaluate, candidates)
+        if processes > 1:
+            import multiprocessing  # only a parallel search pays for it
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                ctx = multiprocessing.get_context("fork")
+                pool = stack.enter_context(ctx.Pool(processes))
+                results = pool.imap(_evaluate, candidates, chunksize=1)
+        for result in results:
+            if isinstance(result, Rejection):
+                rejected_by_stage[result.stage] = (
+                    rejected_by_stage.get(result.stage, 0) + 1
+                )
+                continue
+            accepted.append(result)
+            if sink is not None:
+                rec = {"record": "report", **result.to_dict()}
+                sink.write(json.dumps(rec, sort_keys=True) + "\n")
     if sink is not None:
         footer = {
             "record": "telemetry",

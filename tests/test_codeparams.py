@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -298,6 +299,29 @@ class TestSingleShot:
         assert not (m.to_dense() @ s % 2).any()
         assert not in_rowspace(rref(transpose(p)), s)
         assert new.witness <= old.witness
+
+    def test_workers_split_the_streams(self):
+        """The information-set stage is ``_isd`` on (M, P^T) with the
+        caller's ``workers``."""
+        code = build_from_config(load_fixture("tt72.json"))
+        got = cp.single_shot_distance(code, "Z", 1, iterations=10, seed=3, workers=2)
+        isd = cp._isd(code.m_z, rref(transpose(code.p_z)), 10, 3, 2)
+        assert (got.upper, got.witness) == (isd.upper, isd.witness)
+
+    def test_workers_change_the_passes(self):
+        """On a pair whose passes find different witnesses on one and two
+        streams (row 13's X-distance pair posing as (M, P)), the bound
+        follows the two-stream ``_isd``."""
+        code = build_from_config(load_fixture("table2_row13.json"))
+        h, stab = cp._select_check_pair(code, "X")
+        pair = SimpleNamespace(m_x=h, p_x=transpose(stab))
+        one, two = (
+            cp.single_shot_distance(pair, "X", 1, iterations=20, seed=2, workers=w)
+            for w in (1, 2)
+        )
+        isd = cp._isd(h, rref(stab), 20, 2, 2)
+        assert (two.upper, two.witness) == (isd.upper, isd.witness)
+        assert one.witness != two.witness
 
     def test_t2_has_no_metachecks(self, toy6):
         with pytest.raises(cp.MetacheckAbsent):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmcodes import gf2
 from mmcodes.gf2 import (
     BitMatrix,
     DimensionMismatch,
@@ -114,6 +115,35 @@ class TestMatMul:
             mat_mul(BitMatrix.zeros(2, 3), BitMatrix.zeros(4, 2))
         assert ei.value.shape_a == (2, 3)
         assert ei.value.shape_b == (4, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(0, 24),
+        inner=st.sampled_from([0, 1, 7, 63, 64, 65, 129]),
+        cols=st.sampled_from([0, 1, 7, 63, 64, 65, 129]),
+        density=st.sampled_from([0.05, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_product(self, rows, inner, cols, density, seed):
+        r = np.random.default_rng(seed)
+        a = random_dense(r, rows, inner, p=density)
+        b = random_dense(r, inner, cols, p=0.5)
+        got = mat_mul(BitMatrix.from_dense(a), BitMatrix.from_dense(b))
+        assert got.shape == (rows, cols)
+        want = (a.astype(np.int64) @ b.astype(np.int64)) % 2
+        assert np.array_equal(got.to_dense(), want)
+
+    def test_blocks_split_rows(self, rng, monkeypatch):
+        """A block budget below one packed row of ``b`` gathers one set bit
+        at a time, so every row with several bits spans blocks."""
+        monkeypatch.setattr(gf2, "MAT_MUL_BLOCK_BYTES", 1)
+        for rows, inner, cols in [(9, 65, 129), (5, 0, 3), (0, 4, 4), (6, 64, 1)]:
+            a = random_dense(rng, rows, inner, p=0.3)
+            a[::3] = 0
+            b = random_dense(rng, inner, cols, p=0.5)
+            got = mat_mul(BitMatrix.from_dense(a), BitMatrix.from_dense(b))
+            want = (a.astype(np.int64) @ b.astype(np.int64)) % 2
+            assert np.array_equal(got.to_dense(), want)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -1,12 +1,22 @@
 import io
 import json
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmcodes
 from mmcodes import codeparams as cp
+from mmcodes import search
+from mmcodes.circulant import SizeBudgetExceeded
+from mmcodes.gf2 import DimensionMismatch
 from mmcodes.koszul import build_code
-from mmcodes.ring import GroupSpec, parse_poly, render, weight
+from mmcodes.ring import GroupSpec, ParseError, parse_poly, render, weight
 from mmcodes.search import (
     Rejection,
     SearchConfig,
@@ -178,3 +188,93 @@ class TestRunSearch:
         for ln in sink.getvalue().splitlines():
             rec = json.loads(ln)
             assert rec["record"] in ("report", "telemetry")
+
+
+def pool_config(**kw):
+    return base_config(**{
+        "orders": ((4,), (6,)), "term_range": (1, 3), "max_candidates": 24,
+        "distance_budget": (3, 5), **kw,
+    })
+
+
+def stream(config) -> str:
+    sink = io.StringIO()
+    run_search(config, sink)
+    return sink.getvalue()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the process pools started; a pool larger than the
+    usable CPUs fails before any of its processes starts."""
+    sizes = []
+    fork = type(multiprocessing.get_context("fork"))
+    pool = fork.Pool
+
+    def recording(ctx, processes=None, *args, **kwargs):
+        sizes.append(processes)
+        assert processes <= search._usable_cpus()
+        return pool(ctx, processes, *args, **kwargs)
+
+    monkeypatch.setattr(fork, "Pool", recording)
+    return sizes
+
+
+class TestPool:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_same_bytes_as_in_process(self, monkeypatch, pool_sizes, workers):
+        cfg = pool_config(workers=workers)
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+        serial = stream(cfg)
+        assert pool_sizes == []
+        monkeypatch.setattr(search, "_usable_cpus", lambda: workers)
+        assert stream(cfg) == serial
+        assert pool_sizes == [workers]
+        assert multiprocessing.active_children() == []
+        footer = json.loads(serial.splitlines()[-1])
+        assert footer["accepted"] > 0 and footer["rejected_by_stage"]
+
+    def test_processes_capped_at_usable_cpus(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+        run_search(pool_config(workers=64))
+        assert pool_sizes == [2]
+
+    def test_processes_capped_at_distinct_candidates(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 4)
+        run_search(pool_config(workers=4, max_candidates=3))
+        run_search(pool_config(workers=4, max_candidates=1))
+        assert pool_sizes == [3]
+
+    def test_worker_exception_propagates(self, monkeypatch, pool_sizes):
+        def fail(gens, spec, config):
+            raise RuntimeError("evaluation failed")
+
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(search, "evaluate_candidate", fail)
+        with pytest.raises(RuntimeError, match="evaluation failed"):
+            run_search(pool_config(workers=2))
+        assert pool_sizes == [2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("exc", [
+        cp.BudgetExceeded(10**9, 10**8),
+        SizeBudgetExceeded(5000, 4096),
+        ParseError("unexpected token", 3),
+        DimensionMismatch("mat_mul", (2, 3), (4, 2)),
+    ], ids=lambda e: type(e).__name__)
+    def test_exceptions_cross_processes(self, exc):
+        """A worker's exception reaches the parent by pickle; one that does
+        not unpickle would leave the pool waiting forever."""
+        again = pickle.loads(pickle.dumps(exc))
+        assert type(again) is type(exc)
+        assert str(again) == str(exc)
+        assert vars(again) == vars(exc)
+
+    def test_cli_import_leaves_multiprocessing_out(self):
+        src = str(Path(mmcodes.__file__).resolve().parent.parent)
+        code = "import sys, mmcodes.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
