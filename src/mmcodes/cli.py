@@ -317,50 +317,43 @@ def cmd_table2(args, out) -> int:
     any_mismatch = False
     for name in names:
         cfg = load_fixture(name)
-        pub = cfg.published or {}
+        pub = cfg.published
         code = build_from_config(cfg)
         k = cp.logical_count(code)
-        stats = cp.check_weight_stats(code)
-        d_pub = pub.get("d")
+        d_pub = pub["d"]
         # Below w=1 nothing fits: let w=1 raise BudgetExceeded.
-        w_cert = max(1, cp._certifiable_w(code.n, d_pub or args.w_exhaustive, budget))
+        w_cert = max(1, cp._certifiable_w(code.n, d_pub, budget))
         bound = exhaustive = _lighter(
             cp.distance_exhaustive(code, "Z", w_cert, budget),
             cp.distance_exhaustive(code, "X", w_cert, budget),
         )
-        # Randomized passes only hunt for the published d: no d, no passes,
-        # and X is skipped once Z reaches it.
-        for et in ("Z", "X") if d_pub else ():
+        # Randomized passes only hunt for the published d: X is skipped once
+        # Z reaches it.
+        for et in ("Z", "X"):
             bound = _lighter(bound, cp._escalate(
                 code, et, exhaustive, args.iterations, args.seed, args.workers,
                 stop_at=d_pub,
             ))
             if bound.upper is not None and bound.upper <= d_pub:
                 break
+        weights = [int(w) for m in (code.p_x, code.p_z) for w in m.row_weights()]
+        lower_med, arith_med = _medians(weights)
         checks = {
-            "n": code.n == pub.get("n"),
-            "k": k == pub.get("k"),
+            "n": code.n == pub["n"],
+            "k": k == pub["k"],
+            "w_med": pub["w_med"] in (lower_med, arith_med),
+            "w_max": max(weights) == pub["w_max"],
         }
-        lower_med, arith_med = _medians(
-            [int(w) for w in code.p_x.row_weights()]
-            + [int(w) for w in code.p_z.row_weights()]
-        )
-        checks["w_med"] = pub.get("w_med") in (lower_med, arith_med)
-        checks["w_max"] = max(stats.w_max_x, stats.w_max_z) == pub.get("w_max")
-        d_status = "unknown"
-        if d_pub is not None:
-            if bound.upper is not None and bound.upper < d_pub:
-                checks["d"] = False
-                d_status = f"counterexample at weight {bound.upper}"
-            elif bound.upper == d_pub:
-                d_status = (
-                    "exact" if bound.lower == bound.upper else "upper bound met"
-                )
-            elif bound.lower > d_pub:
-                checks["d"] = False
-                d_status = f"certified no logical below {bound.lower}"
-            else:
-                d_status = f"upper-bound only (certified > {bound.lower - 1})"
+        if bound.upper is not None and bound.upper < d_pub:
+            checks["d"] = False
+            d_status = f"counterexample at weight {bound.upper}"
+        elif bound.upper == d_pub:
+            d_status = "exact" if bound.lower == bound.upper else "upper bound met"
+        elif bound.lower > d_pub:
+            checks["d"] = False
+            d_status = f"certified no logical below {bound.lower}"
+        else:
+            d_status = f"upper-bound only (certified > {bound.lower - 1})"
         row_ok = all(v for v in checks.values())
         any_mismatch = any_mismatch or not row_ok
         _emit(
@@ -372,7 +365,7 @@ def cmd_table2(args, out) -> int:
                 "d_upper": bound.upper,
                 "d_status": d_status,
                 "w_med": lower_med,
-                "w_max": max(stats.w_max_x, stats.w_max_z),
+                "w_max": max(weights),
                 "published": pub,
                 "match": row_ok,
             },
@@ -416,7 +409,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=nonnegative_int, default=0)
         sp.add_argument(
             "--workers", type=positive_int, default=1,
             help="number of RNG streams the randomized passes cycle through; "
@@ -469,13 +462,13 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--type", choices=["X", "Z"], required=True)
     c.add_argument("--w-max", type=positive_int, default=4, dest="w_max")
     c.add_argument("--mode", choices=["exact", "cluster"], default="exact")
-    common(c)
+    c.add_argument("--seed", type=nonnegative_int, default=0)
     c.set_defaults(func=cmd_confine)
 
     se = sub.add_parser("search", help="randomized generator search")
     se.add_argument("config")
     se.add_argument("--out", default=None)
-    se.add_argument("--seed", type=int, default=None)
+    se.add_argument("--seed", type=nonnegative_int, default=None)
     se.add_argument(
         "--workers", type=positive_int, default=None,
         help="number of RNG streams the candidates cycle through (default: "
@@ -494,9 +487,6 @@ def make_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table2", help="recompute bundled instance rows")
     t.add_argument(
         "rows", nargs="*", type=positive_int, help="1-based row numbers; empty = all"
-    )
-    t.add_argument(
-        "--w-exhaustive", type=positive_int, default=4, dest="w_exhaustive"
     )
     t.add_argument("--iterations", type=nonnegative_int, default=50)
     common(t)

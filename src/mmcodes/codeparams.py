@@ -13,7 +13,7 @@ Distance search works in two regimes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from itertools import combinations
 from math import comb, inf
 
@@ -53,11 +53,7 @@ class DistanceBound:
     witness: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
+        return _plain(self)
 
 
 @dataclass(frozen=True)
@@ -71,12 +67,18 @@ class ConfinementProfile:
     fell_back: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "entries": list(self.entries),
-            "exact": list(self.exact),
-            "mode": self.mode,
-            "fell_back": self.fell_back,
-        }
+        return _plain(self)
+
+
+def _plain(x):
+    """``x`` as JSON-ready data: each dataclass a dict of its fields and each
+    tuple a list, recursively.  The report dataclasses are thus the only
+    statement of the report schema."""
+    if is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, tuple):
+        return [_plain(v) for v in x]
+    return x
 
 
 def _support_key(sup: int) -> tuple[int, ...]:
@@ -559,30 +561,11 @@ class CodeReport:
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "name": self.name,
-            "n": self.n,
-            "k": self.k,
-            "d_x": self.d_x.to_dict(),
-            "d_z": self.d_z.to_dict(),
-            "d_ss_x": self.d_ss_x.to_dict() if self.d_ss_x else None,
-            "d_ss_z": self.d_ss_z.to_dict() if self.d_ss_z else None,
-            "confinement_x": (
-                self.confinement_x.to_dict() if self.confinement_x else None
-            ),
-            "confinement_z": (
-                self.confinement_z.to_dict() if self.confinement_z else None
-            ),
-            "d_s": self.d_s,
-            "w_med_x": self.weights.w_med_x,
-            "w_med_z": self.weights.w_med_z,
-            "w_max_x": self.weights.w_max_x,
-            "w_max_z": self.weights.w_max_z,
-            "seed": self.seed,
-            "workers": self.workers,
-            "params": self.params,
-        }
+        """The report's fields, with ``weights`` flattened into its four
+        entries, plus the report's ``schema_version``."""
+        doc = _plain(self)
+        doc.update(doc.pop("weights"))
+        return {"schema_version": 1, **doc}
 
 
 def profile_min(*profiles: ConfinementProfile | None) -> int | None:

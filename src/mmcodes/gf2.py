@@ -248,15 +248,11 @@ def rank(a: BitMatrix) -> int:
 def kernel_basis(a: BitMatrix) -> BitMatrix:
     """Rows form a basis of the right null space {v : a v^T = 0}."""
     cache = rref(a)
-    pivot_set = set(cache.pivot_cols)
-    free_cols = [c for c in range(a.cols) if c not in pivot_set]
-    dense = cache.rref.to_dense()
-    basis = np.zeros((len(free_cols), a.cols), dtype=np.uint8)
-    for i, f in enumerate(free_cols):
-        basis[i, f] = 1
-        for r, c in enumerate(cache.pivot_cols):
-            if dense[r, f]:
-                basis[i, c] = 1
+    pivots = np.array(cache.pivot_cols, dtype=np.intp)
+    free = np.setdiff1d(np.arange(a.cols), pivots)
+    basis = np.zeros((len(free), a.cols), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = cache.rref.to_dense()[: cache.rank, free].T
     return BitMatrix.from_dense(basis)
 
 

@@ -19,8 +19,6 @@ from .circulant import circulant_commute_check, poly_to_circulant
 from .gf2 import BitMatrix, DimensionMismatch, GF2Error, mat_mul, transpose
 from .ring import GroupSpec, RingElem
 
-ZERO = 0  # symbolic zero entry; nonzero entries are 1-based generator indices
-
 
 class KoszulError(Exception):
     pass
@@ -31,7 +29,8 @@ class SymbolicBoundary:
     """Subset-incidence patterns of the t boundary maps.
 
     maps[k-1] is the degree-k map as a dict {(row, col): generator_index}
-    over the C(t,k-1) x C(t,k) block grid; absent keys are zero blocks.
+    (1-based) over the C(t,k-1) x C(t,k) block grid; absent keys are zero
+    blocks.
     """
 
     t: int

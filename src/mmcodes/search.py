@@ -91,6 +91,8 @@ class SearchConfig:
             raise SearchError("max_candidates must be >= 0")
         if not self.orders:
             raise SearchError("need at least one candidate order tuple")
+        if self.seed < 0:
+            raise SearchError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise SearchError(f"workers must be >= 1, got {self.workers}")
         w_exhaustive, iterations = self.distance_budget
@@ -112,10 +114,9 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class Rejection:
+    """A candidate turned down at filter ``stage`` (1-4)."""
+
     stage: int
-    cause: str
-    orders: tuple[int, ...]
-    generators: tuple[str, ...]
 
 
 _TEMPLATE_VAR = re.compile(r"v_([a-z])")
@@ -175,34 +176,29 @@ def canonical_key(spec: GroupSpec, gens) -> tuple:
 def evaluate_candidate(
     gens: list[RingElem], spec: GroupSpec, config: SearchConfig
 ) -> cp.CodeReport | Rejection:
-    rendered = tuple(render(g) for g in gens)
-
-    def reject(stage: int, cause: str) -> Rejection:
-        return Rejection(stage, cause, spec.orders, rendered)
-
     try:
         code, _ = build_code(gens, spec)
-    except Exception as exc:  # noqa: BLE001 - construction errors become rejections
-        return reject(1, f"{type(exc).__name__}: {exc}")
+    except Exception:  # noqa: BLE001 - construction errors become rejections
+        return Rejection(1)
     k = cp.logical_count(code)
     if k < config.require_k_min:
-        return reject(2, f"k={k} < {config.require_k_min}")
+        return Rejection(2)
     w_exh, iters = config.distance_budget
     bounds = {}
     for et in ("X", "Z"):
         try:
             b = cp.distance_exhaustive(code, et, w_exh)
-        except cp.BudgetExceeded as exc:
-            return reject(3, str(exc))
+        except cp.BudgetExceeded:
+            return Rejection(3)
         if b.upper is not None and b.upper < config.require_d_min:
-            return reject(3, f"d_{et.lower()} <= {b.upper}")
+            return Rejection(3)
         bounds[et] = b
     for et in ("X", "Z"):
         b = cp._escalate(code, et, bounds[et], iters, config.seed, config.workers)
         if b.upper is not None and b.upper < config.require_d_min:
-            return reject(4, f"d_{et.lower()} <= {b.upper}")
+            return Rejection(4)
         bounds[et] = b
-    params = {"orders": list(spec.orders), "generators": list(rendered),
+    params = {"orders": list(spec.orders), "generators": [render(g) for g in gens],
               "w_exhaustive": w_exh, "iterations": iters}
     return cp._report(code, "search", k, bounds, {"X": None, "Z": None},
                       config.confinement_w_max, config.seed, config.workers, params)

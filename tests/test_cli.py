@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 from importlib import resources
@@ -15,6 +16,7 @@ from mmcodes.cli import (
     load_config,
     load_fixture,
     main,
+    make_parser,
 )
 
 ROW1 = {
@@ -203,6 +205,7 @@ class TestSearchCommand:
 
 
 ROW13 = str(resources.files("mmcodes") / "fixtures" / "table2_row13.json")
+TT72 = str(resources.files("mmcodes") / "fixtures" / "tt72.json")
 
 
 class TestBadInput:
@@ -254,6 +257,35 @@ class TestBadInput:
         p.write_text(json.dumps({"t": 2, "orders": [[4]], "workers": 0}))
         err = self.expect_usage_error(["search", str(p)], capsys)
         assert "workers" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["params", TT72, "--w-exhaustive", "2", "--iterations", "2"],
+        ["distance", ROW13, "--type", "Z", "--w-exhaustive", "2", "--iterations", "2"],
+        ["ssdist", ROW13, "--type", "Z", "--w-max", "1", "--iterations", "2"],
+        ["confine", ROW13, "--type", "Z", "--w-max", "2", "--mode", "cluster"],
+        ["table2", "13", "--iterations", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed(self, argv, capsys):
+        """A negative seed used to reach numpy's seeding and end in a
+        traceback."""
+        err = self.expect_usage_error([*argv, "--seed", "-1"], capsys)
+        assert "--seed" in err
+
+    @pytest.mark.parametrize("config_seed, flags", [(-1, []), (0, ["--seed", "-1"])],
+                             ids=["config", "flag"])
+    def test_search_negative_seed(self, config_seed, flags, tmp_path, capsys):
+        p = tmp_path / "search.json"
+        p.write_text(json.dumps({"t": 2, "orders": [[4]], "seed": config_seed}))
+        err = self.expect_usage_error(["search", str(p), *flags], capsys)
+        assert "seed" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["table2", "1", "--w-exhaustive", "4"],
+        ["confine", ROW13, "--type", "Z", "--workers", "2"],
+    ], ids=["table2", "confine"])
+    def test_removed_option(self, argv, capsys):
+        err = self.expect_usage_error(argv, capsys)
+        assert argv[-2] in err
 
     def test_search_workers_flag_zero(self, tmp_path, capsys):
         p = tmp_path / "search.json"
@@ -351,6 +383,35 @@ class TestBadInput:
         assert len(err.splitlines()) == 1
 
 
+# Every subcommand's positionals and option strings.  A new option, or one
+# nothing reads, has to show up here.
+CLI_SURFACE = {
+    "build": {"config", "--out", "--format"},
+    "verify": {"config"},
+    "params": {"config", "--w-exhaustive", "--iterations", "--confinement-w",
+               "--ss-w", "--seed", "--workers"},
+    "distance": {"config", "--type", "--w-exhaustive", "--iterations", "--seed",
+                 "--workers"},
+    "ssdist": {"config", "--type", "--w-max", "--iterations", "--seed",
+               "--workers"},
+    "confine": {"config", "--type", "--w-max", "--mode", "--seed"},
+    "search": {"config", "--out", "--seed", "--workers"},
+    "export": {"config", "--matrix", "--format", "--out"},
+    "table2": {"rows", "--iterations", "--seed", "--workers"},
+}
+
+
+def test_cli_surface():
+    commands = next(a for a in make_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    surface = {
+        name: {s for a in sp._actions if not isinstance(a, argparse._HelpAction)
+               for s in a.option_strings or [a.dest]}
+        for name, sp in commands.items()
+    }
+    assert surface == CLI_SURFACE
+
+
 class TestFixturesAndTable:
     def test_all_fixtures_load_and_build(self):
         names = fixture_names()
@@ -360,6 +421,15 @@ class TestFixturesAndTable:
             cfg = load_fixture(name)
             code = build_from_config(cfg)
             assert code.n == cfg.published["n"]
+
+    def test_table2_rows_publish_every_checked_value(self):
+        """``table2`` compares each of these with the recomputed row."""
+        rows = [n for n in fixture_names() if n.startswith("table2_row")]
+        assert len(rows) == 21
+        for name in rows:
+            pub = load_fixture(name).published
+            for key in ("n", "k", "d", "w_med", "w_max"):
+                assert type(pub.get(key)) is int, (name, key)
 
     def test_table2_selected_rows(self):
         rc, out = run(["table2", "1", "4", "--iterations", "0"])

@@ -220,6 +220,23 @@ class TestKernel:
             assert mat_mul(bm, transpose(kb)).is_zero()
         assert rank(kb) == kb.rows
 
+    @settings(max_examples=150, deadline=None)
+    @given(m=shaped_matrices())
+    def test_rows_match_reduced_form(self, m):
+        """The basis itself is pinned, not only its span, because ISD's
+        output depends on its exact rows: row i is 1 on the i-th free column
+        and, on each pivot column, the reduced row's entry there."""
+        reduced, pivots, _ = oracle_rref(m)
+        free = [c for c in range(m.shape[1]) if c not in pivots]
+        want = np.zeros((len(free), m.shape[1]), dtype=np.uint8)
+        for i, f in enumerate(free):
+            want[i, f] = 1
+            for r, c in enumerate(pivots):
+                want[i, c] = reduced[r, f]
+        kb = kernel_basis(BitMatrix.from_dense(m))
+        assert kb.shape == want.shape
+        assert np.array_equal(kb.to_dense(), want)
+
 
 class TestInRowspace:
     def test_zero_vector(self, rng):
