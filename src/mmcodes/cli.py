@@ -33,6 +33,11 @@ EXIT_BUDGET = 3
 
 SCHEMA_VERSION = 1
 
+# The option that sets each command's enumeration weight; table2 derives
+# its weight from the published d and the budget.
+_WEIGHT_FLAG = {"params": "--w-exhaustive", "distance": "--w-exhaustive",
+                "ssdist": "--w-max"}
+
 
 class ConfigError(Exception):
     pass
@@ -513,9 +518,9 @@ def main(argv=None, out=None) -> int:
     except (cp.BudgetExceeded, SizeBudgetExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         if isinstance(exc, cp.BudgetExceeded):  # the group size has no flag
-            sys.stderr.write(
-                "hint: lower --w-exhaustive / --w-max or raise MMCODES_BUDGET\n"
-            )
+            flag = _WEIGHT_FLAG.get(args.command)
+            lower = f"lower {flag} or " if flag else ""
+            sys.stderr.write(f"hint: {lower}raise MMCODES_BUDGET\n")
         return EXIT_BUDGET
     except (KoszulError, GF2Error, formats.FormatError, cp.MetacheckAbsent) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -31,8 +31,7 @@ class BudgetExceeded(Exception):
         self.needed = needed
         self.budget = budget
         super().__init__(
-            f"enumeration needs ~{needed:.3g} steps, over the budget {budget:.3g}; "
-            "lower w_max or raise the budget (MMCODES_BUDGET)"
+            f"enumeration needs ~{needed:.3g} steps, over the budget {budget:.3g}"
         )
 
     def __reduce__(self):
@@ -211,9 +210,11 @@ def _isd_pass(gen_dense: np.ndarray, rng: np.random.Generator, best_w: int):
     perm = rng.permutation(n)
     reduced = rref(BitMatrix.from_dense(gen_dense[:, perm]))
     r = reduced.rank
-    # Row r is all-zero: a single row i is the "pair" (i, r).
-    nw = reduced.rref.words.shape[1]
-    words = np.vstack([reduced.rref.words[:r], np.zeros((1, nw), np.uint64)])
+    # The pivot rows as packed words; row r is all-zero, so a single row i
+    # is the "pair" (i, r).
+    nw = (n + 63) // 64
+    buf = b"".join(x.to_bytes(8 * nw, "little") for x in reduced.pivot_rows)
+    words = np.frombuffer(buf + bytes(8 * nw), dtype="<u8").reshape(r + 1, nw)
     cand_i, cand_j, cand_w = [], [], []
 
     def keep(ii: np.ndarray, jj: np.ndarray):

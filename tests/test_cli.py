@@ -372,6 +372,21 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert rc == EXIT_BUDGET and out == ""
         assert err.startswith("error: enumeration needs") and "Traceback" not in err
+        assert "hint: raise MMCODES_BUDGET" in err and "--w-" not in err
+        assert "w_max" not in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["params", ROW13, "--w-exhaustive", "4"], "--w-exhaustive"),
+        (["ssdist", ROW13, "--type", "Z", "--w-max", "4"], "--w-max"),
+    ], ids=["params", "ssdist"])
+    def test_budget_hint_names_the_command_option(self, argv, flag, monkeypatch,
+                                                  capsys):
+        monkeypatch.setenv("MMCODES_BUDGET", "100")
+        rc, out = run(argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_BUDGET and out == ""
+        assert f"hint: lower {flag} or raise MMCODES_BUDGET\n" in err
+        assert err.count("--w-") == 1
 
     def test_group_size_budget_has_no_flag_hint(self, tmp_path, capsys):
         p = tmp_path / "big.json"

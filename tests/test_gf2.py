@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmcodes import gf2
 from mmcodes.gf2 import (
     BitMatrix,
     DimensionMismatch,
+    GF2Error,
     in_rowspace,
     kernel_basis,
     mat_mul,
@@ -60,8 +60,15 @@ class TestBitMatrix:
         assert np.array_equal(BitMatrix.from_dense(d).to_dense(), d)
 
     def test_padding_is_zero(self, rng):
-        m = BitMatrix.from_dense(random_dense(rng, 5, 65))
-        assert int(m.words[:, -1].max()) < 2  # only bit 64 of word 2 in use
+        """No row holds a bit at or above ``cols``: ``from_dense`` never
+        makes one, and the constructor rejects one, as it does a negative
+        row (whose two's-complement bits run on forever)."""
+        m = BitMatrix.from_dense(random_dense(rng, 5, 65, p=1.0))
+        assert all(0 <= x < 2**65 for x in m.row_ints())
+        for row_ints, cols in [([1 << 65], 65), ([0, 1 << 70], 65), ([1], 0),
+                               ([-1], 65), ([3, -(1 << 64)], 65)]:
+            with pytest.raises(GF2Error):
+                BitMatrix(row_ints, cols)
 
     def test_empty_shapes(self):
         assert BitMatrix.zeros(0, 5).shape == (0, 5)
@@ -71,7 +78,7 @@ class TestBitMatrix:
     def test_row_int_round_trip(self, rng):
         d = random_dense(rng, 4, 130)
         m = BitMatrix.from_dense(d)
-        m2 = BitMatrix.from_row_ints(m.row_ints(), 130)
+        m2 = BitMatrix(m.row_ints(), 130)
         assert m == m2
 
     def test_col_ints_match_transpose(self, rng):
@@ -89,10 +96,20 @@ class TestBitMatrix:
         assert m.tobytes().startswith(b"3x10:")
         assert m.tobytes() == BitMatrix.from_dense(d).tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(m=shaped_matrices())
+    def test_tobytes_is_header_plus_packed_rows(self, m):
+        """The canonical bytes hashed into manifests: ``RxC:`` and then each
+        row as ceil(cols / 8) bytes, column j at bit j % 8 of byte j // 8."""
+        rows, cols = m.shape
+        body = np.packbits(m, axis=1, bitorder="little").tobytes()
+        want = f"{rows}x{cols}:".encode() + body
+        assert BitMatrix.from_dense(m).tobytes() == want
+
     def test_immutable(self, rng):
         m = BitMatrix.from_dense(random_dense(rng, 3, 3))
-        with pytest.raises(ValueError):
-            m.words[0, 0] = 1
+        with pytest.raises(TypeError):
+            m.ints[0] = 1
 
 
 class TestMatMul:
@@ -132,18 +149,6 @@ class TestMatMul:
         assert got.shape == (rows, cols)
         want = (a.astype(np.int64) @ b.astype(np.int64)) % 2
         assert np.array_equal(got.to_dense(), want)
-
-    def test_blocks_split_rows(self, rng, monkeypatch):
-        """A block budget below one packed row of ``b`` gathers one set bit
-        at a time, so every row with several bits spans blocks."""
-        monkeypatch.setattr(gf2, "MAT_MUL_BLOCK_BYTES", 1)
-        for rows, inner, cols in [(9, 65, 129), (5, 0, 3), (0, 4, 4), (6, 64, 1)]:
-            a = random_dense(rng, rows, inner, p=0.3)
-            a[::3] = 0
-            b = random_dense(rng, inner, cols, p=0.5)
-            got = mat_mul(BitMatrix.from_dense(a), BitMatrix.from_dense(b))
-            want = (a.astype(np.int64) @ b.astype(np.int64)) % 2
-            assert np.array_equal(got.to_dense(), want)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -16,6 +16,11 @@ witness changes.  Among equal-weight hits of a pass the single-shot
 witness is now the lexicographically smallest, not the first found; the
 bounds are unchanged (``test_shared_tie_rule_keeps_bounds`` in
 ``test_codeparams.py`` checks this against the original loop).
+
+The ``export`` pins were recorded while ``BitMatrix`` still stored its rows
+as packed uint64 words.  A JSON manifest holds the sha256 of every matrix's
+``tobytes()``, so those pins fix the canonical matrix bytes of tt72 (``m_z``
+only), lacross98 and table2_row13 (both metachecks).
 """
 
 import dataclasses
@@ -129,6 +134,14 @@ CLI_SHA256 = {
     "params table2_row01 --w-exhaustive 4 --iterations 20 --ss-w 4"
     " --confinement-w 4 --seed 0":
         "9c65090eec52ff2a6f812a3d259203cda40af0561b117ed0e54a9b49330d68af",
+    "export tt72 --matrix p_x --format json":
+        "e2aea91bcaa84f5ddf6239e2c7b97965574a0d5a024505fdbbdcb090c5fb4a69",
+    "export lacross98 --matrix p_x --format json":
+        "ae3032aadc0ba217591ed503be4f559aed6621b055031b8a516f144f7752a95d",
+    "export table2_row13 --matrix p_x --format json":
+        "48e46c10102cbce2245c17bf88c52dd2043346f3e1ecaf1d4cee5dcb0590798e",
+    "export table2_row13 --matrix m_z --format alist":
+        "b07f1bbf3a17fc17b351b76a9aff30ecc8d1f4dd32ea5cb480ed589b12cd1430",
 }
 
 def key_id(key):
