@@ -461,6 +461,26 @@ def confinement_profile(
     cluster whose minimum qubit is b*|G| + j has a translate, by -j, whose
     minimum is the origin b*|G|.  ``_translation_roots`` checks this
     invariance and falls back to every qubit when it does not hold.
+
+    The coset test compares coset labels KB e, where the rows of KB span
+    the kernel of the stabilizer matrix: e is reducible iff KB e = KB u for
+    some |u| <= |e| - 1.  The table ``reachable[j] = {KB u : |u| <= j}`` is
+    built only for j <= w_max - 2.  A weight-w_max error is tested by
+    looking up KB e ^ c in ``reachable[w_max - 2]`` for c = 0 and each
+    column c of KB: any |u| <= w_max - 1 is a part of weight <= w_max - 2
+    plus at most one more column.  A candidate of weight w updates the
+    profile iff its syndrome weight sw has 0 < sw < best[w - 1] and it is
+    irreducible; the cheap syndrome-weight test runs first, so the coset
+    test runs only when it could lower the profile.  Exact mode still
+    charges the budget 1 + sum_{j<w_max} C(n, j), the size of the full
+    table, so ``mode`` and ``fell_back`` mean what they did.
+
+    Cluster mode draws, per sample, a root with ``rng.integers(n)`` and then
+    each further qubit as the k-th smallest qubit of the frontier (the
+    Tanner neighbours of the cluster outside it), k = ``rng.integers(size
+    of the frontier)``, until the cluster has w_max qubits or no frontier.
+    The frontier is a bitmask, so its k-th smallest qubit is its k-th set
+    bit; the syndromes of the growing cluster are carried along.
     """
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
@@ -477,41 +497,54 @@ def confinement_profile(
     kb_cols = kernel_basis(stab).col_ints()
     neighbors = _tanner_neighbors(h)
     best: list[float] = [inf] * w_max
-    # reachable[j] = {KB u : |u| <= j}, for the coset-minimality test
+    # reachable[j] = {KB u : |u| <= j} for j <= w_max - 2; the top layer
+    # adds one column of KB to an entry of the last set
     reachable: list[set[int]] = []
     seen: set[int] = set()
-    for syns, _ in _syndrome_layers(kb_cols, w_max - 1):
+    for syns, _ in _syndrome_layers(kb_cols, max(w_max - 2, 0)):
         seen = seen.union(syns)
         reachable.append(seen)
+    top, steps = reachable[-1], [0] + kb_cols
 
-    def consider(sup: tuple[int, ...]):
-        w = len(sup)
-        if _xor_cols(kb_cols, sup) in reachable[w - 1]:
+    def consider(w: int, h_syn: int, kb_syn: int):
+        sw = h_syn.bit_count()
+        if not 0 < sw < best[w - 1]:
             return
-        sw = _xor_cols(h_cols, sup).bit_count()
-        if 0 < sw < best[w - 1]:
-            best[w - 1] = sw
+        if w <= len(reachable):
+            if kb_syn in reachable[w - 1]:
+                return
+        elif any(kb_syn ^ c in top for c in steps):
+            return
+        best[w - 1] = sw
 
     if mode == "exact":
         roots = _translation_roots(code, h, stab)
         for sup in connected_subsets(neighbors, w_max, roots):
-            consider(sup)
+            consider(len(sup), _xor_cols(h_cols, sup), _xor_cols(kb_cols, sup))
     else:
+        nbr = [sum(1 << v for v in ns) for ns in neighbors]
         rng = np.random.default_rng([seed, 1])
         for _ in range(samples):
-            cur = [int(rng.integers(n))]
-            cur_set = set(cur)
-            consider(tuple(cur))
-            while len(cur) < w_max:
-                frontier = sorted(
-                    set().union(*(neighbors[q] for q in cur)) - cur_set
-                )
-                if not frontier:
+            q = int(rng.integers(n))
+            cur, front, h_syn, kb_syn = 1 << q, nbr[q], h_cols[q], kb_cols[q]
+            consider(1, h_syn, kb_syn)
+            for w in range(2, w_max + 1):
+                if not front:
                     break
-                q = frontier[int(rng.integers(len(frontier)))]
-                cur.append(q)
-                cur_set.add(q)
-                consider(tuple(sorted(cur)))
+                # the k-th set bit of front: the lowest bit with k below it
+                k = int(rng.integers(front.bit_count()))
+                lo, hi = 0, front.bit_length()
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if (front & ((1 << mid) - 1)).bit_count() > k:
+                        hi = mid
+                    else:
+                        lo = mid
+                cur |= 1 << lo
+                front = (front | nbr[lo]) & ~cur
+                h_syn ^= h_cols[lo]
+                kb_syn ^= kb_cols[lo]
+                consider(w, h_syn, kb_syn)
 
     raw = [int(b) if b < inf else None for b in best]
     closed = _minplus_closure(raw)

@@ -412,6 +412,51 @@ def brute_confinement(code, err_type, w_max):
     return tuple(cp._minplus_closure(best))
 
 
+def reference_cluster_profile(code, err_type, w_max, seed, samples):
+    """Cluster-mode confinement entries as the sampler first computed them:
+    the full coset table up to weight w_max - 1, the coset test before the
+    syndrome-weight test, and a frontier rebuilt and sorted at every step.
+    The optimised sampler must make the same draws and reach the same
+    entries."""
+    h, stab = cp._select_check_pair(code, err_type)
+    n = h.cols
+    h_cols = h.col_ints()
+    kb_cols = kernel_basis(stab).col_ints()
+    neighbors = cp._tanner_neighbors(h)
+    best = [math.inf] * w_max
+    reachable = []
+    seen = set()
+    for syns, _ in cp._syndrome_layers(kb_cols, w_max - 1):
+        seen = seen.union(syns)
+        reachable.append(seen)
+
+    def consider(sup):
+        w = len(sup)
+        if cp._xor_cols(kb_cols, sup) in reachable[w - 1]:
+            return
+        sw = cp._xor_cols(h_cols, sup).bit_count()
+        if 0 < sw < best[w - 1]:
+            best[w - 1] = sw
+
+    rng = np.random.default_rng([seed, 1])
+    for _ in range(samples):
+        cur = [int(rng.integers(n))]
+        cur_set = set(cur)
+        consider(tuple(cur))
+        while len(cur) < w_max:
+            frontier = sorted(
+                set().union(*(neighbors[q] for q in cur)) - cur_set
+            )
+            if not frontier:
+                break
+            q = frontier[int(rng.integers(len(frontier)))]
+            cur.append(q)
+            cur_set.add(q)
+            consider(tuple(sorted(cur)))
+    raw = [int(b) if b < math.inf else None for b in best]
+    return tuple(cp._minplus_closure(raw))
+
+
 def draw_generators(data, spec, t):
     """t random ring elements with 1-3 distinct monomials each."""
     monomials = st.lists(st.integers(0, spec.size - 1), min_size=1, max_size=3,
@@ -445,6 +490,56 @@ class TestConfinement:
         for et in ("X", "Z"):
             got = cp.confinement_profile(code, et, 3)
             assert got.entries == brute_confinement(code, et, 3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        orders=st.sampled_from([(3,), (4,), (5,), (6,), (2, 2), (2, 3), (8,)]),
+        t=st.sampled_from([2, 3]),
+        data=st.data(),
+    )
+    def test_exact_matches_brute_force_w4(self, orders, t, data):
+        """At w_max = 4 the top layer's coset test splits a weight-3
+        representative into a table entry of weight <= 2 plus one column."""
+        spec = GroupSpec(orders)
+        # n <= 18 and a stabilizer span of at most 2^12 elements
+        assume(t == 2 or spec.size <= 6)
+        gens = draw_generators(data, spec, t)
+        code, _ = build_code(gens, spec)
+        for et in ("X", "Z"):
+            got = cp.confinement_profile(code, et, 4)
+            assert got.entries == brute_confinement(code, et, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        orders=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        t=st.integers(2, 4),
+        data=st.data(),
+    )
+    def test_cluster_matches_reference_sampler(self, orders, t, data):
+        spec = GroupSpec(tuple(orders))
+        assume(2 <= spec.size <= 8)
+        gens = draw_generators(data, spec, t)
+        code, _ = build_code(gens, spec, q_override=data.draw(st.integers(1, t - 1)))
+        w_max = data.draw(st.integers(1, 4))
+        seed = data.draw(st.integers(0, 9))
+        samples = data.draw(st.integers(50, 300))
+        for et in ("X", "Z"):
+            got = cp.confinement_profile(
+                code, et, w_max, mode="cluster", seed=seed, samples=samples
+            )
+            assert got.entries == reference_cluster_profile(
+                code, et, w_max, seed, samples
+            )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["table2_row02", "table2_row09"])
+    def test_cluster_matches_reference_sampler_on_rows(self, name, seed):
+        code = build_from_config(load_fixture(f"{name}.json"))
+        for et in ("X", "Z"):
+            got = cp.confinement_profile(
+                code, et, 4, mode="cluster", seed=seed, samples=2000
+            )
+            assert got.entries == reference_cluster_profile(code, et, 4, seed, 2000)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -21,6 +21,12 @@ The ``export`` pins were recorded while ``BitMatrix`` still stored its rows
 as packed uint64 words.  A JSON manifest holds the sha256 of every matrix's
 ``tobytes()``, so those pins fix the canonical matrix bytes of tt72 (``m_z``
 only), lacross98 and table2_row13 (both metachecks).
+
+The three pins of ``confine table2_row09`` (cluster and exact, w=4) and of
+``confine tt72 --mode cluster`` were recorded while confinement still built
+its coset-minimality table up to weight w_max - 1, ran that test before
+the syndrome-weight test, and sampled clusters from a re-sorted frontier
+set.
 """
 
 import dataclasses
@@ -134,6 +140,12 @@ CLI_SHA256 = {
     "params table2_row01 --w-exhaustive 4 --iterations 20 --ss-w 4"
     " --confinement-w 4 --seed 0":
         "9c65090eec52ff2a6f812a3d259203cda40af0561b117ed0e54a9b49330d68af",
+    "confine table2_row09 --type Z --w-max 4 --mode cluster --seed 0":
+        "6d48726fee02b5fd1bb736f7aa68e713a07649ed8a90829e002418514d52112a",
+    "confine table2_row09 --type Z --w-max 4":
+        "1f2a6ca485725885206f608867bc24bc53b8463ade8550ce13caf9446f56f6e7",
+    "confine tt72 --type X --w-max 3 --mode cluster --seed 1":
+        "296e999ef2ccd6f36c9d8b200618e1953095e828367010b39ab41ed4e39a244b",
     "export tt72 --matrix p_x --format json":
         "e2aea91bcaa84f5ddf6239e2c7b97965574a0d5a024505fdbbdcb090c5fb4a69",
     "export lacross98 --matrix p_x --format json":
