@@ -94,13 +94,6 @@ def _certifiable_w(n: int, cap: int, budget: int) -> int:
     return max((w for w in range(cap + 1) if _enum_cost(n, w) <= budget), default=0)
 
 
-def _xor_cols(cols: list[int], idxs) -> int:
-    s = 0
-    for i in idxs:
-        s ^= cols[i]
-    return s
-
-
 def _syndrome_layers(cols: list[int], max_w: int):
     """Yield, for w = 0..max_w, the syndromes and supports of all weight-w
     supports over ``cols`` as two parallel iterables (bit i of a support
@@ -361,42 +354,50 @@ def single_shot_distance(
 # ---- confinement ------------------------------------------------------
 
 
-def _tanner_neighbors(h: BitMatrix) -> list[set[int]]:
-    """Qubit adjacency through the checks of h."""
-    neighbors: list[set[int]] = [set() for _ in range(h.cols)]
+def _tanner_neighbors(h: BitMatrix) -> list[int]:
+    """Per qubit, the mask of the other qubits that share a check of h."""
+    nbr = [0] * h.cols
     for r in h.row_ints():
-        sup = _support_key(r)
-        for q in sup:
-            neighbors[q].update(sup)
-    for q in range(h.cols):
-        neighbors[q].discard(q)
-    return neighbors
+        for q in _support_key(r):
+            nbr[q] |= r
+    return [m & ~(1 << q) for q, m in enumerate(nbr)]
 
 
-def connected_subsets(neighbors: list[set[int]], max_size: int, roots=None):
+def _clusters(nbr: list[int], max_size: int, roots, cols: list[int],
+              mask: int, emit: list, grow: list):
+    """Yield (k, word) for each connected cluster of k <= max_size qubits
+    with its minimum qubit in ``roots`` and |word & mask| < emit[k], word
+    the XOR of ``cols`` over it; walk its supersets iff k < max_size and
+    |word & mask| < grow[k], read after the yield (see confinement_profile)."""
+    for r in roots:
+        above = -2 << r
+        todo = [(1, nbr[r] & above, nbr[r], cols[r])]
+        while todo:
+            k, ext, seen, word = todo.pop()
+            sw = (word & mask).bit_count()
+            if sw < emit[k]:
+                yield k, word
+            if k == max_size or sw >= grow[k]:
+                continue
+            while ext:
+                u = (ext & -ext).bit_length() - 1
+                ext ^= 1 << u
+                if k + 1 < max_size:
+                    fresh = nbr[u] & above & ~seen
+                    todo.append((k + 1, ext | fresh, seen | fresh, word ^ cols[u]))
+                elif ((word ^ cols[u]) & mask).bit_count() < emit[k + 1]:
+                    yield k + 1, word ^ cols[u]
+
+
+def connected_subsets(neighbors: list[int], max_size: int, roots=None):
     """Every connected vertex subset of size <= max_size whose minimal vertex
-    is in ``roots`` (default: all), exactly once.  ESU-style: a subset grows
-    from its minimal vertex only through neighbours above it, each new vertex
-    taken from an extension list that excludes every vertex offered before,
-    so each subset is reached along exactly one path."""
-    n = len(neighbors)
-
-    def extend(sub: tuple[int, ...], ext: list[int], excl: frozenset[int],
-               root: int):
-        yield tuple(sorted(sub))
-        if len(sub) == max_size:
-            return
-        ext = list(ext)
-        while ext:
-            u = ext.pop()
-            fresh = [v for v in neighbors[u] if v > root and v not in excl]
-            yield from extend(
-                sub + (u,), ext + fresh, excl | {u} | set(fresh), root
-            )
-
-    for v in range(n) if roots is None else sorted(roots):
-        start_ext = [u for u in neighbors[v] if u > v]
-        yield from extend((v,), start_ext, frozenset({v}) | set(start_ext), v)
+    is in ``roots`` (default: all), exactly once, as a sorted tuple; bit v of
+    neighbors[u] is the edge uv.  The unpruned walk of ``_clusters``, with
+    each vertex's own bit as its word."""
+    n, free = len(neighbors), [inf] * (max_size + 1)
+    for _, sub in _clusters(neighbors, max_size, range(n) if roots is None else roots,
+                            [1 << v for v in range(n)], 0, free, free):
+        yield _support_key(sub)
 
 
 def _translation_roots(code: MCssCode, h: BitMatrix, stab: BitMatrix) -> range:
@@ -453,8 +454,8 @@ def confinement_profile(
     errors are recovered by the min-plus closure (syndrome weight and
     reduced weight add across syndrome-disjoint components).
 
-    Exact mode enumerates only the clusters rooted at block origins.  This
-    is complete: translating every qubit block by the same g in G maps the
+    Exact mode walks the clusters rooted at block origins.  This is
+    complete: translating every qubit block by the same g in G maps the
     checks of ``h`` and the stabilizers onto themselves (all blocks are
     circulants of G), so it keeps a cluster's weight, syndrome weight,
     irreducibility and connectivity, and keeps each qubit in its block.  A
@@ -462,25 +463,35 @@ def confinement_profile(
     minimum is the origin b*|G|.  ``_translation_roots`` checks this
     invariance and falls back to every qubit when it does not hold.
 
-    The coset test compares coset labels KB e, where the rows of KB span
-    the kernel of the stabilizer matrix: e is reducible iff KB e = KB u for
-    some |u| <= |e| - 1.  The table ``reachable[j] = {KB u : |u| <= j}`` is
-    built only for j <= w_max - 2.  A weight-w_max error is tested by
-    looking up KB e ^ c in ``reachable[w_max - 2]`` for c = 0 and each
-    column c of KB: any |u| <= w_max - 1 is a part of weight <= w_max - 2
-    plus at most one more column.  A candidate of weight w updates the
-    profile iff its syndrome weight sw has 0 < sw < best[w - 1] and it is
-    irreducible; the cheap syndrome-weight test runs first, so the coset
-    test runs only when it could lower the profile.  Exact mode still
-    charges the budget 1 + sum_{j<w_max} C(n, j), the size of the full
-    table, so ``mode`` and ``fell_back`` mean what they did.
+    The walk, ``_clusters``, is ESU (Wernicke, IEEE/ACM TCBB 3(4), 2006) on
+    int masks and reaches each cluster C, of minimum r, exactly once.  A
+    child takes the lowest qubit u of its parent's extension mask, whose
+    later children then lack u; the exclusion mask ``seen`` (the cluster's
+    neighbourhood) offers each qubit above r to a path at most once.  So
+    only the child taking the first qubit of C offered can lead to C, and,
+    C being connected, one is offered until C is reached.
 
-    Cluster mode draws, per sample, a root with ``rng.integers(n)`` and then
-    each further qubit as the k-th smallest qubit of the frontier (the
-    Tanner neighbours of the cluster outside it), k = ``rng.integers(size
-    of the frontier)``, until the cluster has w_max qubits or no frontier.
-    The frontier is a bitmask, so its k-th smallest qubit is its k-th set
-    bit; the syndromes of the growing cluster are carried along.
+    KB spans the kernel of the stabilizer matrix: e is reducible iff
+    KB e = KB u for some |u| <= |e| - 1.  The table ``reachable[j] =
+    {KB u : |u| <= j}`` stops at j = w_max - 2; a weight-w_max e is reducible
+    iff some KB e ^ c, c = 0 or a column of KB, is in its last set.  Each
+    qubit's word holds its columns of ``h`` and KB, so a cluster's syndrome
+    and label cost one XOR per qubit.  A w-qubit cluster lowers best[w] iff
+    its syndrome weight sw has 0 < sw < best[w] and it is irreducible.
+
+    The supersets of a considered k-qubit cluster are skipped if
+    sw - (w - k)*gamma >= best[w] for every w in k+1..w_max (``cut[k]``),
+    gamma the largest column weight of ``h``: an added qubit moves sw by at
+    most gamma, so no skipped cluster could lower the profile.  Nor does the
+    visit order matter: ``best`` only falls, and a cluster is passed over
+    only when its sw is at least ``best`` then, so at least its final value.
+    Exact mode still charges the budget 1 + sum_{j<w_max} C(n, j), the size
+    of the full table, so ``mode`` and ``fell_back`` mean what they did.
+
+    Cluster mode draws, per sample, a root with ``rng.integers(n)``, then
+    each further qubit as the k-th set bit of the frontier mask (the Tanner
+    neighbours of the cluster outside it), k = ``rng.integers(size of the
+    frontier)``, until the cluster has w_max qubits or no frontier.
     """
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
@@ -495,10 +506,13 @@ def confinement_profile(
 
     h_cols = h.col_ints()
     kb_cols = kernel_basis(stab).col_ints()
-    neighbors = _tanner_neighbors(h)
-    best: list[float] = [inf] * w_max
-    # reachable[j] = {KB u : |u| <= j} for j <= w_max - 2; the top layer
-    # adds one column of KB to an entry of the last set
+    cols = [c | kb << h.rows for c, kb in zip(h_cols, kb_cols)]
+    low = (1 << h.rows) - 1
+    gamma = max((c.bit_count() for c in h_cols), default=0)
+    nbr = _tanner_neighbors(h)
+    # best[k] and cut[k] for clusters of k qubits
+    best, cut = [inf] * (w_max + 1), [inf] * (w_max + 1)
+    # reachable[j] = {KB u : |u| <= j} for j <= w_max - 2
     reachable: list[set[int]] = []
     seen: set[int] = set()
     for syns, _ in _syndrome_layers(kb_cols, max(w_max - 2, 0)):
@@ -506,28 +520,30 @@ def confinement_profile(
         reachable.append(seen)
     top, steps = reachable[-1], [0] + kb_cols
 
-    def consider(w: int, h_syn: int, kb_syn: int):
-        sw = h_syn.bit_count()
-        if not 0 < sw < best[w - 1]:
+    def consider(k: int, word: int):
+        sw = (word & low).bit_count()
+        if not 0 < sw < best[k]:
             return
-        if w <= len(reachable):
-            if kb_syn in reachable[w - 1]:
+        kb_syn = word >> h.rows
+        if k <= len(reachable):
+            if kb_syn in reachable[k - 1]:
                 return
         elif any(kb_syn ^ c in top for c in steps):
             return
-        best[w - 1] = sw
+        best[k] = sw
+        for j in range(1, k):
+            cut[j] = min(cut[j], sw + (k - j) * gamma)
 
     if mode == "exact":
         roots = _translation_roots(code, h, stab)
-        for sup in connected_subsets(neighbors, w_max, roots):
-            consider(len(sup), _xor_cols(h_cols, sup), _xor_cols(kb_cols, sup))
+        for k, word in _clusters(nbr, w_max, roots, cols, low, best, cut):
+            consider(k, word)
     else:
-        nbr = [sum(1 << v for v in ns) for ns in neighbors]
         rng = np.random.default_rng([seed, 1])
         for _ in range(samples):
             q = int(rng.integers(n))
-            cur, front, h_syn, kb_syn = 1 << q, nbr[q], h_cols[q], kb_cols[q]
-            consider(1, h_syn, kb_syn)
+            cur, front, word = 1 << q, nbr[q], cols[q]
+            consider(1, word)
             for w in range(2, w_max + 1):
                 if not front:
                     break
@@ -542,15 +558,12 @@ def confinement_profile(
                         lo = mid
                 cur |= 1 << lo
                 front = (front | nbr[lo]) & ~cur
-                h_syn ^= h_cols[lo]
-                kb_syn ^= kb_cols[lo]
-                consider(w, h_syn, kb_syn)
+                word ^= cols[lo]
+                consider(w, word)
 
-    raw = [int(b) if b < inf else None for b in best]
-    closed = _minplus_closure(raw)
-    exact_flags = tuple(mode == "exact" for _ in range(w_max))
     return ConfinementProfile(
-        entries=tuple(closed), exact=exact_flags, mode=mode, fell_back=fell_back
+        entries=tuple(_minplus_closure(best[1:])), exact=(mode == "exact",) * w_max,
+        mode=mode, fell_back=fell_back,
     )
 
 

@@ -350,26 +350,47 @@ class TestSingleShot:
             assert in_rowspace(valid, col)
 
 
+def brute_connected(neigh, max_size):
+    """Every connected vertex subset of size <= max_size, as sorted tuples:
+    each combination of vertices, kept when a search inside it reaches all
+    of it."""
+    n = len(neigh)
+    out = set()
+    for k in range(1, max_size + 1):
+        for sub in itertools.combinations(range(n), k):
+            seen = {sub[0]}
+            stack = [sub[0]]
+            ss = set(sub)
+            while stack:
+                v = stack.pop()
+                for u in neigh[v]:
+                    if u in ss and u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            if len(seen) == k:
+                out.add(sub)
+    return out
+
+
+def tanner_sets(h):
+    """Qubit adjacency through the rows of h, one set per qubit."""
+    neigh = [set() for _ in range(h.cols)]
+    for r in h.row_ints():
+        sup = {i for i in range(h.cols) if r >> i & 1}
+        for q in sup:
+            neigh[q] |= sup - {q}
+    return neigh
+
+
+def xor_cols(cols, idxs):
+    s = 0
+    for i in idxs:
+        s ^= cols[i]
+    return s
+
+
 class TestConnectedSubsets:
     def test_matches_brute_force(self):
-        def brute(neigh, max_size):
-            n = len(neigh)
-            out = set()
-            for k in range(1, max_size + 1):
-                for sub in itertools.combinations(range(n), k):
-                    seen = {sub[0]}
-                    stack = [sub[0]]
-                    ss = set(sub)
-                    while stack:
-                        v = stack.pop()
-                        for u in neigh[v]:
-                            if u in ss and u not in seen:
-                                seen.add(u)
-                                stack.append(u)
-                    if len(seen) == k:
-                        out.add(sub)
-            return out
-
         rnd = random.Random(99)
         for _ in range(25):
             n = rnd.randint(1, 9)
@@ -380,33 +401,33 @@ class TestConnectedSubsets:
                     neigh[a].add(b)
                     neigh[b].add(a)
             ms = rnd.randint(1, 4)
-            got = list(cp.connected_subsets(neigh, ms))
+            masks = [sum(1 << u for u in ns) for ns in neigh]
+            got = list(cp.connected_subsets(masks, ms))
             assert len(got) == len(set(got))
-            assert set(got) == brute(neigh, ms)
+            assert set(got) == brute_connected(neigh, ms)
             roots = set(rnd.sample(range(n), rnd.randint(0, n)))
-            rooted = list(cp.connected_subsets(neigh, ms, roots))
+            rooted = list(cp.connected_subsets(masks, ms, roots))
             assert len(rooted) == len(set(rooted))
             assert set(rooted) == {s for s in got if s[0] in roots}
 
 
 def brute_confinement(code, err_type, w_max):
     """Exact confinement profile by its definition: an error is irreducible
-    when no member of its coset under the whole stabilizer span is lighter."""
+    when no member of its coset under the whole stabilizer span is lighter.
+    Its clusters come from ``brute_connected``, not from the enumerator
+    under test."""
     h, stab = (code.p_x, code.p_z) if err_type == "Z" else (code.p_z, code.p_x)
     span = {0}
     for r in stab.row_ints():
         span |= {s ^ r for s in span}
     cols = h.col_ints()
     best = [None] * w_max
-    for sup in cp.connected_subsets(cp._tanner_neighbors(h), w_max):
+    for sup in brute_connected(tanner_sets(h), w_max):
         w = len(sup)
         e = sum(1 << i for i in sup)
         if min((e ^ s).bit_count() for s in span) < w:
             continue
-        syn = 0
-        for i in sup:
-            syn ^= cols[i]
-        sw = syn.bit_count()
+        sw = xor_cols(cols, sup).bit_count()
         if sw and (best[w - 1] is None or sw < best[w - 1]):
             best[w - 1] = sw
     return tuple(cp._minplus_closure(best))
@@ -422,7 +443,7 @@ def reference_cluster_profile(code, err_type, w_max, seed, samples):
     n = h.cols
     h_cols = h.col_ints()
     kb_cols = kernel_basis(stab).col_ints()
-    neighbors = cp._tanner_neighbors(h)
+    neighbors = tanner_sets(h)
     best = [math.inf] * w_max
     reachable = []
     seen = set()
@@ -432,9 +453,9 @@ def reference_cluster_profile(code, err_type, w_max, seed, samples):
 
     def consider(sup):
         w = len(sup)
-        if cp._xor_cols(kb_cols, sup) in reachable[w - 1]:
+        if xor_cols(kb_cols, sup) in reachable[w - 1]:
             return
-        sw = cp._xor_cols(h_cols, sup).bit_count()
+        sw = xor_cols(h_cols, sup).bit_count()
         if 0 < sw < best[w - 1]:
             best[w - 1] = sw
 
@@ -579,6 +600,45 @@ class TestConfinement:
             assert cp._translation_roots(code, h, stab) == range(code.n)
             got = cp.confinement_profile(code, et, 3)
             assert got.entries == brute_confinement(code, et, 3)
+
+    def test_prune_keeps_the_improving_cluster(self):
+        # The largest column weight of this h is 3.  Pruning as if one qubit
+        # moved the syndrome weight by at most 2 cuts the weight-4 cluster of
+        # syndrome weight 1 and reports (1, 1, 1, 2).
+        code = dataclasses.replace(
+            make([3], ["1+x", "1+x^2"]),
+            p_x=BitMatrix([0b100010, 0b100011, 0b101100, 0b011110], 6),
+            p_z=BitMatrix([0b100001], 6),
+        )
+        want = brute_confinement(code, "Z", 4)
+        assert want == (1, 1, 1, 1)
+        assert cp.confinement_profile(code, "Z", 4).entries == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 10), data=st.data())
+    def test_random_checks_match_brute_force(self, n, data):
+        """Arbitrary (h, stab) pairs on n <= 10 qubits, so that the syndrome
+        weight prune meets column weights and profiles that no code family
+        produces."""
+        rows = st.lists(st.integers(0, 2**n - 1), max_size=6)
+        code = dataclasses.replace(
+            make([3], ["1+x", "1+x^2"]),
+            p_x=BitMatrix(data.draw(rows), n),
+            p_z=BitMatrix(data.draw(rows), n),
+        )
+        w_max = data.draw(st.integers(1, 4))
+        for et in ("X", "Z"):
+            got = cp.confinement_profile(code, et, w_max)
+            assert got.entries == brute_confinement(code, et, w_max)
+
+    @pytest.mark.parametrize("name, want", [
+        ("table2_row13", (8, 8, 6, 10)),
+        ("table2_row20", (8, 12, 12, 16)),
+    ])
+    def test_exact_w4_profiles_of_large_rows(self, name, want):
+        code = build_from_config(load_fixture(f"{name}.json"))
+        prof = cp.confinement_profile(code, "Z", 4)
+        assert prof.entries == want and prof.mode == "exact"
 
     def test_w1_is_min_column_weight(self, row1):
         prof = cp.confinement_profile(row1, "Z", 1)
