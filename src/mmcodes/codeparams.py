@@ -479,12 +479,12 @@ def confinement_profile(
     and label cost one XOR per qubit.  A w-qubit cluster lowers best[w] iff
     its syndrome weight sw has 0 < sw < best[w] and it is irreducible.
 
-    The supersets of a considered k-qubit cluster are skipped if
-    sw - (w - k)*gamma >= best[w] for every w in k+1..w_max (``cut[k]``),
-    gamma the largest column weight of ``h``: an added qubit moves sw by at
-    most gamma, so no skipped cluster could lower the profile.  Nor does the
-    visit order matter: ``best`` only falls, and a cluster is passed over
-    only when its sw is at least ``best`` then, so at least its final value.
+    The supersets of a considered k-qubit cluster are skipped if sw >=
+    ``cut[k]``, the largest best[w] + (w - k)*gamma over w in k+1..w_max,
+    gamma the largest column weight of ``h``: a qubit moves sw by at most
+    gamma, so none of them could lower the profile.  Nor does the visit
+    order matter: ``best`` only falls, and a cluster is passed over only
+    when its sw is at least ``best`` then, so at least its final value.
     Exact mode still charges the budget 1 + sum_{j<w_max} C(n, j), the size
     of the full table, so ``mode`` and ``fell_back`` mean what they did.
 
@@ -532,7 +532,7 @@ def confinement_profile(
             return
         best[k] = sw
         for j in range(1, k):
-            cut[j] = min(cut[j], sw + (k - j) * gamma)
+            cut[j] = max(best[w] + (w - j) * gamma for w in range(j + 1, w_max + 1))
 
     if mode == "exact":
         roots = _translation_roots(code, h, stab)

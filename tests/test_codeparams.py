@@ -601,15 +601,22 @@ class TestConfinement:
             got = cp.confinement_profile(code, et, 3)
             assert got.entries == brute_confinement(code, et, 3)
 
-    def test_prune_keeps_the_improving_cluster(self):
-        # The largest column weight of this h is 3.  Pruning as if one qubit
-        # moved the syndrome weight by at most 2 cuts the weight-4 cluster of
+    @pytest.mark.parametrize("p_x, p_z", [
+        # The largest column weight of h is 3.  Pruning as if one qubit moved
+        # the syndrome weight by at most 2 cuts the weight-4 cluster of
         # syndrome weight 1 and reports (1, 1, 1, 2).
-        code = dataclasses.replace(
-            make([3], ["1+x", "1+x^2"]),
-            p_x=BitMatrix([0b100010, 0b100011, 0b101100, 0b011110], 6),
-            p_z=BitMatrix([0b100001], 6),
-        )
+        (BitMatrix([0b100010, 0b100011, 0b101100, 0b011110], 6),
+         BitMatrix([0b100001], 6)),
+        # Root 0 sets best[1..3] to 1.  The pair {3, 4} (syndrome weight 4)
+        # still leads to {3, 4, 5, 6} (syndrome weight 1): a subtree may be
+        # skipped only when no larger size could improve, not as soon as
+        # one size cannot.
+        (BitMatrix([0b11, 0b110, 0b100, 0b101000, 0b101000, 0b11000,
+                    0b1010000, 0b1010000, 0b100000], 7),
+         BitMatrix([], 7)),
+    ])
+    def test_prune_keeps_the_improving_cluster(self, p_x, p_z):
+        code = dataclasses.replace(make([3], ["1+x", "1+x^2"]), p_x=p_x, p_z=p_z)
         want = brute_confinement(code, "Z", 4)
         assert want == (1, 1, 1, 1)
         assert cp.confinement_profile(code, "Z", 4).entries == want
@@ -620,7 +627,7 @@ class TestConfinement:
         """Arbitrary (h, stab) pairs on n <= 10 qubits, so that the syndrome
         weight prune meets column weights and profiles that no code family
         produces."""
-        rows = st.lists(st.integers(0, 2**n - 1), max_size=6)
+        rows = st.lists(st.integers(0, 2**n - 1), max_size=10)
         code = dataclasses.replace(
             make([3], ["1+x", "1+x^2"]),
             p_x=BitMatrix(data.draw(rows), n),
