@@ -3,10 +3,10 @@ distances, confinement profiles, and check-weight statistics.
 
 Distance search works in two regimes:
 
-* exhaustive: all kernel vectors of weight <= w_max are enumerated by a
-  meet-in-the-middle split (two half-weight patterns with colliding
-  syndromes), which visits the same set of vectors as direct enumeration in
-  increasing weight / lexicographic-support order but at square-root cost;
+* exhaustive: a depth-first search that follows the syndrome
+  (``low_weight_kernel_vectors``), rooted at the block origins when the
+  checks are translation invariant, finds every minimal kernel vector of
+  weight <= w_max up to translation, and so the lightest logical up to it;
 * randomized: information-set style sampling over the kernel basis, giving
   upper bounds only.
 """
@@ -14,7 +14,6 @@ Distance search works in two regimes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from itertools import combinations
 from math import comb, inf
 
 import numpy as np
@@ -112,32 +111,38 @@ def _syndrome_layers(cols: list[int], max_w: int):
                 syns, sups = list(syns), list(sups)
 
 
-def _syndrome_patterns(cols: list[int], max_w: int):
-    """All supports of weight <= max_w as (support, weight) pairs, grouped
-    by syndrome value."""
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for w, (syns, sups) in enumerate(_syndrome_layers(cols, max_w)):
-        for syn, sup in zip(syns, sups):
-            buckets.setdefault(syn, []).append((sup, w))
-    return buckets
-
-
 def low_weight_kernel_vectors(
-    p: BitMatrix, w_max: int, budget: int = DEFAULT_ENUM_BUDGET
+    p: BitMatrix, w_max: int, roots, budget: int = DEFAULT_ENUM_BUDGET
 ) -> dict[int, list[int]]:
-    """All v != 0 with p v^T = 0 and |v| <= w_max, as weight -> supports
-    sorted by lexicographic support order."""
-    n = p.cols
-    w_max = min(w_max, n)
-    needed = _enum_cost(n, w_max)
+    """Every minimal v != 0 (containing no other) with p v^T = 0, |v| <=
+    w_max and least column in ``roots``, and maybe some non-minimal ones,
+    as weight -> supports in lexicographic support order.
+
+    A depth-first search that follows the syndrome (Dumer, Kovalev &
+    Pryadko, IEEE TIT 63(7), 2017).  From each root r, S = {r} and s = p S^T;
+    S is recorded if s = 0, else, if |S|*gamma + |s| <= w_max*gamma (gamma
+    the largest column weight), it branches on each column >= r outside S
+    of the unsatisfied check with the fewest of them.  Complete: for S a
+    proper subset of a minimal v, s != 0 and each check S leaves
+    unsatisfied holds a column of v - S, so a branch stays inside v; a
+    column moves |s| by at most gamma, so |s| <= |v - S|*gamma.  A lightest
+    logical is minimal: a kernel vector inside it, or the rest, would be a
+    lighter one.  The budget is still charged C(n, 1) + ... + C(n, w_max)."""
+    needed = _enum_cost(p.cols, w_max)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
+    cols, checks = p.col_ints(), p.row_ints()
+    gamma = max((c.bit_count() for c in cols), default=0)
     found: set[int] = set()
-    for group in _syndrome_patterns(p.col_ints(), (w_max + 1) // 2).values():
-        # Supports are distinct, so the union of a disjoint pair is nonzero.
-        for (sup_a, w_a), (sup_b, w_b) in combinations(group, 2):
-            if w_a + w_b <= w_max and not sup_a & sup_b:
-                found.add(sup_a | sup_b)
+    todo = [(1 << r, cols[r], -1 << r) for r in roots] if w_max > 0 else []
+    while todo:
+        sup, s, above = todo.pop()
+        if not s:
+            found.add(sup)
+        elif sup.bit_count() * gamma + s.bit_count() <= w_max * gamma:
+            free = above & ~sup
+            step = min((checks[i] & free for i in _support_key(s)), key=int.bit_count)
+            todo += ((sup | 1 << u, s ^ cols[u], above) for u in _support_key(step))
     out: dict[int, list[int]] = {}
     for v in sorted(found, key=_support_key):
         out.setdefault(v.bit_count(), []).append(v)
@@ -158,11 +163,43 @@ def logical_count(code: MCssCode) -> int:
     return code.n - rank(code.p_x) - rank(code.p_z)
 
 
-def _lightest(h: BitMatrix, trivial, w_max: int, budget: int) -> DistanceBound:
+def _translation_roots(code: MCssCode, h: BitMatrix, stab: BitMatrix) -> range:
+    """Columns at which every set of columns of ``h`` has a translate rooted.
+
+    Columns (qubits, or the checks a metacheck reads) come in blocks of
+    |G| = ``code.spec.size``.  If shifting every block by one unit of each
+    cyclic factor (these shifts generate G) permutes the rows of ``h`` and
+    of ``stab``, then so does every g in G, and the block origins b*|G| are
+    returned; otherwise every column."""
+    size, n = code.spec.size, h.cols
+    if n % size:
+        return range(n)
+
+    def rows(d: np.ndarray) -> list[bytes]:
+        return sorted(map(bytes, np.packbits(d, axis=1)))
+
+    col = np.arange(n)
+    dense = [m.to_dense() for m in (h, stab)]
+    want = [rows(d) for d in dense]
+    stride = 1
+    for order in reversed(code.spec.orders):
+        digit = col % size // stride % order
+        shift = col + stride * ((digit + 1) % order - digit)
+        stride *= order
+        if [rows(d[:, shift]) for d in dense] != want:
+            return range(n)
+    return range(0, n, size)
+
+
+def _lightest(h: BitMatrix, trivial, roots, w_max: int, budget: int) -> DistanceBound:
     """The lightest v != 0 with h v^T = 0 and |v| <= w_max outside the row
     space cached by ``trivial``, the first in lexicographic support order
-    among equal weights.  Its lower bound is certified, found or not."""
-    kv = low_weight_kernel_vectors(h, w_max, budget)
+    among equal weights; its lower bound is certified, found or not.  With
+    ``roots`` from ``_translation_roots``, that v's least column is a root:
+    else its translate to the block origin, also a logical, would precede it."""
+    if w_max < 1:
+        raise ValueError("w_max must be >= 1")
+    kv = low_weight_kernel_vectors(h, w_max, roots, budget)
     for w in range(1, w_max + 1):
         for v in kv.get(w, []):
             if not in_rowspace(trivial, v):
@@ -177,10 +214,8 @@ def distance_exhaustive(
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> DistanceBound:
     """Certified search over all errors of weight <= w_max."""
-    if w_max < 1:
-        raise ValueError("w_max must be >= 1")
     p, opp = _select_check_pair(code, err_type)
-    return _lightest(p, rref(opp), w_max, budget)
+    return _lightest(p, rref(opp), _translation_roots(code, p, opp), w_max, budget)
 
 
 # Byte cap on one block of row-pair XORs in ``_isd_pass``.
@@ -312,9 +347,7 @@ def _escalate(
     if bound.upper is not None or iterations < 1:
         return bound
     r = distance_randomized(code, err_type, iterations, seed, workers, stop_at)
-    if r.upper is not None:
-        bound = replace(bound, upper=r.upper, witness=r.witness)
-    return bound
+    return bound if r.upper is None else replace(r, lower=bound.lower)
 
 
 def single_shot_distance(
@@ -342,13 +375,13 @@ def single_shot_distance(
         raise MetacheckAbsent(
             f"no {check_type}-metacheck for t={code.t}, q={code.q}"
         )
-    valid = rref(transpose(p))
-    bound = _lightest(m, valid, w_max, budget)
-    if bound.upper is None and iterations >= 1:
-        r = _isd(m, valid, iterations, seed, workers)
-        if r.upper is not None:
-            bound = replace(bound, upper=r.upper, witness=r.witness)
-    return bound
+    pt = transpose(p)
+    valid = rref(pt)
+    bound = _lightest(m, valid, _translation_roots(code, m, pt), w_max, budget)
+    if bound.upper is not None or iterations < 1:
+        return bound
+    r = _isd(m, valid, iterations, seed, workers)
+    return bound if r.upper is None else replace(r, lower=bound.lower)
 
 
 # ---- confinement ------------------------------------------------------
@@ -398,33 +431,6 @@ def connected_subsets(neighbors: list[int], max_size: int, roots=None):
     for _, sub in _clusters(neighbors, max_size, range(n) if roots is None else roots,
                             [1 << v for v in range(n)], 0, free, free):
         yield _support_key(sub)
-
-
-def _translation_roots(code: MCssCode, h: BitMatrix, stab: BitMatrix) -> range:
-    """Qubits that every connected cluster has a translate rooted at.
-
-    Qubits come in blocks of |G| = ``code.spec.size``.  If shifting every
-    block by one unit of each cyclic factor (these shifts generate G)
-    permutes the rows of ``h`` and of ``stab``, then so does every g in G,
-    and the block origins b*|G| are returned; otherwise every qubit."""
-    size, n = code.spec.size, h.cols
-    if n % size:
-        return range(n)
-
-    def rows(d: np.ndarray) -> list[bytes]:
-        return sorted(map(bytes, np.packbits(d, axis=1)))
-
-    col = np.arange(n)
-    dense = [m.to_dense() for m in (h, stab)]
-    want = [rows(d) for d in dense]
-    stride = 1
-    for order in reversed(code.spec.orders):
-        digit = col % size // stride % order
-        shift = col + stride * ((digit + 1) % order - digit)
-        stride *= order
-        if [rows(d[:, shift]) for d in dense] != want:
-            return range(n)
-    return range(0, n, size)
 
 
 def _minplus_closure(entries: list[int | None]) -> list[int | None]:
@@ -616,14 +622,8 @@ class CodeReport:
 
 
 def profile_min(*profiles: ConfinementProfile | None) -> int | None:
-    vals = [
-        e
-        for p in profiles
-        if p is not None
-        for e in p.entries
-        if e is not None
-    ]
-    return min(vals) if vals else None
+    return min((e for p in profiles if p is not None for e in p.entries
+                if e is not None), default=None)
 
 
 def _report(

@@ -7,8 +7,14 @@ check.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mmcodes.gf2 import BitMatrix
+
+# Every run draws the same examples, so the suite's outcome and time do not
+# depend on the run; each test's own ``max_examples`` still applies.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 def naive_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

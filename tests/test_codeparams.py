@@ -228,15 +228,53 @@ small_columns = st.integers(0, 6).flatmap(
 
 class TestSyndromeEnumeration:
     @settings(max_examples=150, deadline=None)
-    @given(cols=small_columns, max_w=st.integers(0, 3))
-    def test_mitm_buckets_match_brute_force(self, cols, max_w):
-        want: dict[int, list] = {}
-        for syn, sup, w in brute_patterns(cols, max_w):
-            want.setdefault(syn, []).append((sup, w))
-        got = cp._syndrome_patterns(cols, max_w)
-        assert {s: sorted(g) for s, g in got.items()} == {
-            s: sorted(g) for s, g in want.items()
-        }
+    @given(cols=small_columns, w_max=st.integers(0, 4), data=st.data())
+    def test_dfs_finds_every_minimal_kernel_vector(self, cols, w_max, data):
+        """Every minimal kernel vector with a root as its least column, and
+        nothing that is not a kernel vector so rooted, each listed once
+        under its weight in lexicographic support order."""
+        n = len(cols)
+        roots = sorted(data.draw(st.sets(st.integers(0, n - 1)))) if n else []
+        kernel = {sup for syn, sup, w in brute_patterns(cols, w_max) if w and not syn}
+        rooted = {v for v in kernel if (v & -v).bit_length() - 1 in roots}
+        minimal = {v for v in rooted
+                   if not any(u != v and u & v == u for u in kernel)}
+        p = transpose(BitMatrix(cols, 6))
+        got = cp.low_weight_kernel_vectors(p, w_max, roots)
+        listed = [v for vs in got.values() for v in vs]
+        assert len(listed) == len(set(listed))
+        assert minimal <= set(listed) <= rooted
+        for w, vs in got.items():
+            assert vs == sorted(vs, key=cp._support_key)
+            assert all(v.bit_count() == w for v in vs)
+
+    def test_zero_w_max_lists_nothing(self):
+        # Column 0 is zero, so a walk that recorded a zero-syndrome root
+        # before checking the weight would list it at w_max = 0.
+        p = BitMatrix([0b10], 2)
+        assert cp.low_weight_kernel_vectors(p, 0, range(2)) == {}
+        assert cp.low_weight_kernel_vectors(p, 1, range(2)) == {1: [0b1]}
+
+    @pytest.mark.parametrize("name", [
+        "bga16", "gb70", "lacross98", "mb48", "table2_row01", "table2_row02",
+        "table2_row03", "table2_row04", "table2_row05", "table2_row06",
+        "table2_row07", "toric4d", "tt72",
+    ])
+    def test_anchored_lightest_matches_every_root(self, name):
+        """On every fixture with n <= 150, the distance (X, Z) and
+        single-shot (ssX, ssZ) cores rooted at block origins agree with the
+        cores rooted at every column at w = 4, witness included."""
+        code = build_from_config(load_fixture(f"{name}.json"))
+        pairs = [cp._select_check_pair(code, et) for et in ("X", "Z")]
+        pairs += [(m, transpose(p)) for m, p in
+                  ((code.m_x, code.p_x), (code.m_z, code.p_z)) if m is not None]
+        for h, stab in pairs:
+            roots = cp._translation_roots(code, h, stab)
+            assert roots == range(0, h.cols, code.spec.size)
+            trivial = rref(stab)
+            anchored = cp._lightest(h, trivial, roots, 4, cp.DEFAULT_ENUM_BUDGET)
+            every = cp._lightest(h, trivial, range(h.cols), 4, cp.DEFAULT_ENUM_BUDGET)
+            assert anchored == every
 
     @settings(max_examples=150, deadline=None)
     @given(cols=small_columns, max_w=st.integers(0, 3))
@@ -314,7 +352,7 @@ class TestSingleShot:
         follows the two-stream ``_isd``."""
         code = build_from_config(load_fixture("table2_row13.json"))
         h, stab = cp._select_check_pair(code, "X")
-        pair = SimpleNamespace(m_x=h, p_x=transpose(stab))
+        pair = SimpleNamespace(m_x=h, p_x=transpose(stab), spec=code.spec)
         one, two = (
             cp.single_shot_distance(pair, "X", 1, iterations=20, seed=2, workers=w)
             for w in (1, 2)
@@ -322,6 +360,10 @@ class TestSingleShot:
         isd = cp._isd(h, rref(stab), 20, 2, 2)
         assert (two.upper, two.witness) == (isd.upper, isd.witness)
         assert one.witness != two.witness
+
+    def test_zero_w_max_is_refused(self, row1):
+        with pytest.raises(ValueError):
+            cp.single_shot_distance(row1, "X", 0)
 
     def test_t2_has_no_metachecks(self, toy6):
         with pytest.raises(cp.MetacheckAbsent):
