@@ -216,9 +216,11 @@ def cmd_params(args, out) -> int:
 
 def cmd_distance(args, out) -> int:
     cfg, code = _load_code(args.config)
-    bound = cp.distance_exhaustive(code, args.type, args.w_exhaustive, enum_budget())
+    budget = enum_budget()
+    bound = cp.distance_exhaustive(code, args.type, args.w_exhaustive, budget)
     bound = cp._escalate(
-        code, args.type, bound, args.iterations, args.seed, args.workers
+        code, args.type, bound, args.iterations, args.seed, args.workers,
+        budget=budget,
     )
     _emit({"name": cfg.name, "type": args.type, **bound.to_dict()}, out)
     return EXIT_OK
@@ -337,7 +339,7 @@ def cmd_table2(args, out) -> int:
         for et in ("Z", "X"):
             bound = _lighter(bound, cp._escalate(
                 code, et, exhaustive, args.iterations, args.seed, args.workers,
-                stop_at=d_pub,
+                stop_at=d_pub, budget=budget,
             ))
             if bound.upper is not None and bound.upper <= d_pub:
                 break

@@ -9,6 +9,10 @@ Distance search works in two regimes:
   weight <= w_max up to translation, and so the lightest logical up to it;
 * randomized: information-set style sampling over the kernel basis, giving
   upper bounds only.
+
+Escalating from the first to the second (``_escalate``) deepens the
+exhaustive search one weight at a time while the budget allows, so the
+passes run only past the budget.
 """
 
 from __future__ import annotations
@@ -341,13 +345,32 @@ def distance_randomized(
 def _escalate(
     code: MCssCode, err_type: str, bound: DistanceBound, iterations: int,
     seed: int, workers: int, stop_at: int | None = None,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> DistanceBound:
-    """``bound`` plus, if it has no witness and ``iterations >= 1``, the upper
-    bound and witness ``distance_randomized`` finds, if any."""
+    """``bound`` if it has a witness or ``iterations < 1``; else ``bound``
+    deepened, then sampled.
+
+    If the code has logicals, the exhaustive search runs again at w =
+    bound.lower, bound.lower + 1, ... while C(n, 1) + ... + C(n, w) fits
+    ``budget``, and the first witness found is returned as exact, as
+    ``distance_exhaustive`` at w would return it.  Each level certifies its
+    weight: ``bound.lower`` is certified, so a level that finds nothing
+    rules out every logical of weight <= w, and one that finds one finds it
+    at weight w.  Once the budget stops the deepening, the lower bound is
+    the first w it did not reach, and ``distance_randomized`` adds its upper
+    bound and witness, if any.  (Without logicals no level would end it.)"""
     if bound.upper is not None or iterations < 1:
         return bound
+    p, opp = _select_check_pair(code, err_type)
+    trivial, roots, w = rref(opp), _translation_roots(code, p, opp), bound.lower
+    has_logicals = p.cols - rank(p) > trivial.rank  # k > 0
+    while has_logicals and _enum_cost(p.cols, w) <= budget:
+        deeper = _lightest(p, trivial, roots, w, budget)
+        if deeper.upper is not None:
+            return deeper
+        w += 1
     r = distance_randomized(code, err_type, iterations, seed, workers, stop_at)
-    return bound if r.upper is None else replace(r, lower=bound.lower)
+    return replace(bound if r.upper is None else r, lower=w)
 
 
 def single_shot_distance(
@@ -661,7 +684,8 @@ def analyze(
     bounds = {}
     for et in ("X", "Z"):
         b = distance_exhaustive(code, et, w_exhaustive, budget)
-        bounds[et] = _escalate(code, et, b, iterations, seed, workers)
+        bounds[et] = _escalate(code, et, b, iterations, seed, workers,
+                               budget=budget)
     d_ss = {et: None if ss_w is None or m is None else
             single_shot_distance(code, et, ss_w, iterations, seed, budget, workers)
             for et, m in (("X", code.m_x), ("Z", code.m_z))}

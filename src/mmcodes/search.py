@@ -1,7 +1,8 @@
 """Randomized search over generator polynomials.
 
 Candidates pass through staged filters (construction, logical count,
-certified low-weight distance, randomized distance, optional confinement);
+certified low-weight distance, then that search deepened within the budget
+and, past it, randomized distance; optional confinement);
 accepted candidates stream out as JSONL records, followed by a telemetry
 footer with per-stage rejection counters.
 """

@@ -140,6 +140,19 @@ class TestDistanceCommands:
         doc = json.loads(out)
         assert doc["lower"] == doc["upper"] == 4
 
+    def test_budget_at_the_exhaustive_charge_only_samples(self, monkeypatch):
+        """MMCODES_BUDGET = 72 + C(72, 2), the charge of --w-exhaustive 2 on
+        tt72, leaves no deeper level to search: the passes run as they did
+        before escalation deepened, with the same bytes, and nothing exits 3."""
+        monkeypatch.setenv("MMCODES_BUDGET", "2628")
+        rc, out = run(["distance", TT72, "--type", "X", "--w-exhaustive", "2",
+                       "--iterations", "5"])
+        assert rc == EXIT_OK
+        assert out == (
+            '{"lower": 3, "name": "tt72", "type": "X", "upper": 12, "witness": '
+            '[6, 8, 18, 21, 22, 23, 49, 51, 61, 62, 64, 65]}\n'
+        )
+
     def test_ssdist_absent(self, tmp_path):
         cfg = {"name": "bb", "t": 2, "orders": [3], "generators": ["1+x", "1+x^2"]}
         p = tmp_path / "bb.json"

@@ -152,6 +152,81 @@ class TestDistanceRandomized:
             cp.distance_randomized(row1, "Z", 5, seed=0, workers=workers)
 
 
+def reference_escalate(code, err_type, bound, iterations, seed):
+    """The escalation without deepening: the exhaustive bound, then the
+    information-set passes' upper bound and witness, if any."""
+    if bound.upper is not None or iterations < 1:
+        return bound
+    r = cp.distance_randomized(code, err_type, iterations, seed)
+    return bound if r.upper is None else dataclasses.replace(r, lower=bound.lower)
+
+
+def check_escalation(code, err_type, w_exh, iterations, seed, budget):
+    """Deepening only tightens the reference's bounds: the result is exact
+    below the first weight over ``budget``, else it is the reference's upper
+    bound and witness over a lower bound raised to that weight; either way
+    the lower bound is certified.  Without passes or logicals nothing is
+    deepened."""
+    exhaustive = cp.distance_exhaustive(code, err_type, w_exh)
+    old = reference_escalate(code, err_type, exhaustive, iterations, seed)
+    new = cp._escalate(code, err_type, exhaustive, iterations, seed, 1, budget=budget)
+    unsampled = cp._escalate(code, err_type, exhaustive, 0, seed, 1, budget=budget)
+    assert unsampled == exhaustive
+    assert new.lower >= old.lower
+    if old.upper is not None:
+        assert new.upper is not None and new.upper <= old.upper
+    # A logical has at most n qubits, so with one the deepening ends by n.
+    w_stop = old.lower if not cp.logical_count(code) else next(
+        (w for w in range(old.lower, code.n + 1) if cp._enum_cost(code.n, w) > budget),
+        code.n + 1)
+    if new.lower < w_stop:
+        assert new == cp.distance_exhaustive(code, err_type, new.upper)
+    else:
+        assert new.lower == w_stop
+        assert (new.upper, new.witness) == (old.upper, old.witness)
+        assert cp.distance_exhaustive(code, err_type, new.lower - 1).upper is None
+
+
+class TestEscalation:
+    @pytest.mark.parametrize("err_type", ["X", "Z"])
+    @pytest.mark.parametrize("name", [
+        "bga16", "gb70", "lacross98", "mb48", "table2_row01", "table2_row02",
+        "table2_row03", "table2_row04", "table2_row05", "table2_row06",
+        "table2_row07", "toric4d", "tt72",
+    ])
+    def test_deepening_tightens_the_reference_on_fixtures(self, name, err_type):
+        """Every fixture with n <= 150, at w_exhaustive 1-3, with the
+        default budget and with one that stops the deepening at once, after
+        one level, or after two."""
+        code = build_from_config(load_fixture(f"{name}.json"))
+        rng = random.Random(f"{name}-{err_type}")
+        for w_exh in (1, 2, 3):
+            for extra in (None, 0, 1, 2):
+                budget = (cp.DEFAULT_ENUM_BUDGET if extra is None
+                          else cp._enum_cost(code.n, w_exh + extra))
+                check_escalation(code, err_type, w_exh, rng.randint(1, 10),
+                                 rng.randint(0, 9), budget)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        orders=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        t=st.integers(2, 4),
+        data=st.data(),
+    )
+    def test_deepening_tightens_the_reference_on_random_codes(self, orders, t, data):
+        spec = GroupSpec(tuple(orders))
+        assume(2 <= spec.size <= 8)
+        gens = draw_generators(data, spec, t)
+        code, _ = build_code(gens, spec, q_override=data.draw(st.integers(1, t - 1)))
+        w_exh = data.draw(st.integers(1, 3))
+        extra = data.draw(st.sampled_from([None, 0, 1, 2]))
+        budget = (cp.DEFAULT_ENUM_BUDGET if extra is None
+                  else cp._enum_cost(code.n, w_exh + extra))
+        for et in ("X", "Z"):
+            check_escalation(code, et, w_exh, data.draw(st.integers(1, 10)),
+                             data.draw(st.integers(0, 9)), budget)
+
+
 def reference_isd_pass(gen_dense, rng, best_w):
     """The original information-set pass: every row and row pair as a
     Python int, un-permuted bit by bit, in no particular order."""

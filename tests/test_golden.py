@@ -17,6 +17,25 @@ witness is now the lexicographically smallest, not the first found; the
 bounds are unchanged (``test_shared_tie_rule_keeps_bounds`` in
 ``test_codeparams.py`` checks this against the original loop).
 
+Five pins were re-recorded on purpose when the escalation began to deepen
+the exhaustive search, one weight at a time within the budget, before its
+information-set passes.  Bounds only tightened:
+
+* ``test_search_stream_digest``: d_x and d_z of the n = 144, k = 12
+  report on ``1+z+x*y+x*y*z, 1+y+w*z+w*y*z, 1+w*z, 1+x*z`` go from 4..6 to
+  exact 6 (same witnesses), and nine bounds of other reports that were
+  already 4..4 (lower from w=3, upper from the passes) now carry the
+  lexicographically first weight-4 logical as witness;
+* ``test_confinement_search_stream_digest``: two of those 4..4 bounds, whose
+  witnesses move the same way;
+* ``distance table2_row13 --type X --w-exhaustive 3 ...``: lower 4 -> 5,
+  with the same upper bound 9 and witness;
+* ``params table2_row13 --w-exhaustive 3 ...``: both lowers 4 -> 5, same
+  uppers 9 and witnesses;
+* ``params tt72 --w-exhaustive 2 ...``: d_x lower 3 -> 7 with the upper
+  bound 12 and its witness kept; d_z 3..6 -> exact 6, with the
+  lexicographically first weight-6 logical as witness.
+
 The ``export`` pins were recorded while ``BitMatrix`` still stored its rows
 as packed uint64 words.  A JSON manifest holds the sha256 of every matrix's
 ``tobytes()``, so those pins fix the canonical matrix bytes of tt72 (``m_z``
@@ -107,26 +126,26 @@ SEARCH = SearchConfig(
     seed=0,
     workers=2,
 )
-SEARCH_SHA256 = "60e0a6e3cf89e38ec7311cdb7a2f195ce5d1a5389870b521de351109b42141cb"
+SEARCH_SHA256 = "61d0ac44e0a3a5753071a29d2df7ffd35f59cfe698ac25097ec85e32f1e88c58"
 
 # The same search, shorter, with confinement profiles on accepted candidates.
 CONFINE_SEARCH = dataclasses.replace(
     SEARCH, distance_budget=(3, 10), max_candidates=12, confinement_w_max=3
 )
 CONFINE_SEARCH_SHA256 = (
-    "9996d9a810bb98df951cc4a48e6fc839a27c9d66476597107180fe4ae7c63bd7"
+    "f1922b0f8a51731b8c7d55c1e05b1158393405772480fdd600e019c5b93623ed"
 )
 
 # CLI argv (fixture name in place of the config path) -> sha256 of stdout.
 CLI_SHA256 = {
     "params tt72 --w-exhaustive 2 --iterations 20 --ss-w 2 --confinement-w 3"
     " --seed 3 --workers 2":
-        "80cd4176dee8e2795b54798d6a7200323758ed64a8085d0cb288a9d767767ab0",
+        "0f8828026727297058f5141e1bf3fd322e5b6cc74e5da9c797a6a28f0c7f3ddb",
     "params table2_row13 --w-exhaustive 3 --iterations 10 --seed 1":
-        "5795d78edb76ad6ccd1f337c1af8d5e7eec38d031bcb5d6e34848c2c2a7323d8",
+        "94361ea4d6610c72c565c53659a8e5435f940d0e6119c8fcc63f53e3e768e946",
     "distance table2_row13 --type X --w-exhaustive 3 --iterations 20 --seed 7"
     " --workers 2":
-        "068c622755a207dd6a3ea1bdeee355701aa0cc205d4aa8b7a388cd9019b8e592",
+        "432d81b5198420ff9c0407ec17855028e566bf4df3a2e0e322261db72dc09a09",
     "table2 3 9 13 --iterations 20 --seed 1":
         "a4c0c9d064b4e8d3902f25660bca8509895de4948a21b4f0181e318346ffc796",
     "confine table2_row01 --type X --w-max 3":
