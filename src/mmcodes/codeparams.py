@@ -465,6 +465,34 @@ def _minplus_closure(entries: list[int | None]) -> list[int | None]:
     return [int(c) if c < inf else None for c in closed]
 
 
+_WORD_BLOCK = 1024
+
+
+def _bounded_draws(rng: np.random.Generator):
+    """draw(b) == int(rng.integers(b)) for 1 <= b < 2**32, call for call,
+    from the generator's 32-bit words taken _WORD_BLOCK at a time.  The
+    rest of the last block is never used, so ``rng`` must not be drawn
+    from elsewhere."""
+    def words():
+        while True:
+            block = rng.integers(0, 1 << 32, size=_WORD_BLOCK, dtype=np.uint32)
+            yield from block.tolist()
+
+    word = words().__next__
+
+    def draw(b: int) -> int:
+        if b == 1:
+            return 0
+        m = word() * b
+        if m & 0xFFFFFFFF < b:
+            floor = ((1 << 32) - b) % b
+            while m & 0xFFFFFFFF < floor:
+                m = word() * b
+        return m >> 32
+
+    return draw
+
+
 def confinement_profile(
     code: MCssCode,
     err_type: str,
@@ -520,7 +548,14 @@ def confinement_profile(
     Cluster mode draws, per sample, a root with ``rng.integers(n)``, then
     each further qubit as the k-th set bit of the frontier mask (the Tanner
     neighbours of the cluster outside it), k = ``rng.integers(size of the
-    frontier)``, until the cluster has w_max qubits or no frontier.
+    frontier)``, until the cluster has w_max qubits or no frontier.  The
+    draws equal those ``rng.integers`` calls, call for call, but come from
+    ``_bounded_draws``, which takes the generator's 32-bit words in blocks
+    and maps each to [0, b) as numpy does, by Lemire's multiply-shift
+    (ACM TOMACS 29(1), 2019): the high half of x*b, redrawing while the low
+    half is below (2**32 - b) % b; b == 1 gives 0 and takes no word.  A
+    numpy that mapped words differently would change the samples; the test
+    of ``_bounded_draws`` against ``rng.integers`` is what catches it.
     """
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
@@ -568,16 +603,16 @@ def confinement_profile(
         for k, word in _clusters(nbr, w_max, roots, cols, low, best, cut):
             consider(k, word)
     else:
-        rng = np.random.default_rng([seed, 1])
+        draw = _bounded_draws(np.random.default_rng([seed, 1]))
         for _ in range(samples):
-            q = int(rng.integers(n))
+            q = draw(n)
             cur, front, word = 1 << q, nbr[q], cols[q]
             consider(1, word)
             for w in range(2, w_max + 1):
                 if not front:
                     break
                 # the k-th set bit of front: the lowest bit with k below it
-                k = int(rng.integers(front.bit_count()))
+                k = draw(front.bit_count())
                 lo, hi = 0, front.bit_length()
                 while hi - lo > 1:
                     mid = (lo + hi) // 2

@@ -595,6 +595,24 @@ def reference_cluster_profile(code, err_type, w_max, seed, samples):
     return tuple(cp._minplus_closure(raw))
 
 
+class TestBoundedDraws:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_draws_equal_generator_integers(self, seed, data):
+        """Call for call equal to ``Generator.integers`` over several blocks
+        of words: 2**31 + 1 rejects about half its words, and a bound of 1
+        takes none.  It takes about 0.5 s."""
+        edge = [1, 2, 3, 96, 648, 2**31 + 1, 3 * 2**30, 2**32 - 1]
+        bound = st.one_of(st.sampled_from(edge), st.integers(1, 2**32 - 1))
+        pattern = data.draw(st.lists(bound, min_size=1, max_size=16))
+        assume(any(b > 1 for b in pattern))
+        # each bound above 1 takes at least one word
+        bounds = pattern * (3 * cp._WORD_BLOCK // sum(b > 1 for b in pattern) + 1)
+        draw = cp._bounded_draws(np.random.default_rng([seed, 1]))
+        rng = np.random.default_rng([seed, 1])
+        assert [draw(b) for b in bounds] == [int(rng.integers(b)) for b in bounds]
+
+
 def draw_generators(data, spec, t):
     """t random ring elements with 1-3 distinct monomials each."""
     monomials = st.lists(st.integers(0, spec.size - 1), min_size=1, max_size=3,
@@ -678,6 +696,22 @@ class TestConfinement:
                 code, et, 4, mode="cluster", seed=seed, samples=2000
             )
             assert got.entries == reference_cluster_profile(code, et, 4, seed, 2000)
+
+    def test_cluster_frontier_of_one_across_blocks(self):
+        """The checks of h join qubits i and i + 1, so a cluster rooted at
+        qubit 0 has a frontier of one qubit, and its draw takes no word.
+        Each root takes one, so the samples outrun a block of words."""
+        n = 7
+        path = BitMatrix([0b11 << i for i in range(n - 1)], n)
+        code = dataclasses.replace(make([3], ["1+x", "1+x^2"]),
+                                   p_x=path, p_z=BitMatrix([], n))
+        assert cp._tanner_neighbors(path)[0] == 0b10
+        samples = cp._WORD_BLOCK + 200
+        for seed in range(3):
+            got = cp.confinement_profile(
+                code, "Z", 4, mode="cluster", seed=seed, samples=samples
+            )
+            assert got.entries == reference_cluster_profile(code, "Z", 4, seed, samples)
 
     @settings(max_examples=60, deadline=None)
     @given(
