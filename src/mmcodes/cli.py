@@ -315,10 +315,11 @@ def _medians(ws: list[int]) -> tuple[int, float]:
 def cmd_table2(args, out) -> int:
     names = [n for n in fixture_names() if n.startswith("table2_row")]
     if args.rows:
-        wanted = {f"table2_row{int(r):02d}.json" for r in args.rows}
-        missing = wanted - set(names)
+        missing = sorted({r for r in args.rows if r > len(names)})
         if missing:
-            raise ConfigError(f"unknown rows: {sorted(missing)}")
+            raise ConfigError(f"unknown rows {', '.join(map(str, missing))}: "
+                              f"the rows are 1-{len(names)}")
+        wanted = {f"table2_row{r:02d}.json" for r in args.rows}
         names = [n for n in names if n in wanted]
     budget = enum_budget()
     any_mismatch = False

@@ -174,25 +174,36 @@ def _translation_roots(code: MCssCode, h: BitMatrix, stab: BitMatrix) -> range:
     |G| = ``code.spec.size``.  If shifting every block by one unit of each
     cyclic factor (these shifts generate G) permutes the rows of ``h`` and
     of ``stab``, then so does every g in G, and the block origins b*|G| are
-    returned; otherwise every column."""
-    size, n = code.spec.size, h.cols
-    if n % size:
-        return range(n)
+    returned; otherwise every column.
 
-    def rows(d: np.ndarray) -> list[bytes]:
-        return sorted(map(bytes, np.packbits(d, axis=1)))
+    A unit shift of the factor of order o and stride s (the product of the
+    orders after it) moves a column of digit d < o - 1 up by s and one of
+    digit o - 1 down by s*(o - 1): it maps a row r to ``(r & ~last) << s |
+    (r & last) >> s*(o - 1)``, ``last`` the mask of the columns of digit
+    o - 1.  It permutes the rows iff the shifted rows, sorted, equal the
+    sorted rows.  The answer is kept on ``code`` per (h, stab), so each
+    pair is checked once."""
+    key = (h, stab)
+    if key not in code._roots:
+        n, size = h.cols, code.spec.size
+        invariant = not n % size and _shift_invariant(code.spec.orders, h, stab)
+        code._roots[key] = range(0, n, size) if invariant else range(n)
+    return code._roots[key]
 
-    col = np.arange(n)
-    dense = [m.to_dense() for m in (h, stab)]
-    want = [rows(d) for d in dense]
+
+def _shift_invariant(orders, h: BitMatrix, stab: BitMatrix) -> bool:
+    """Whether each unit shift of ``_translation_roots`` permutes the rows
+    of ``h`` and of ``stab``, whose column count is a multiple of |G|."""
+    rows = [sorted(m.ints) for m in (h, stab)]
     stride = 1
-    for order in reversed(code.spec.orders):
-        digit = col % size // stride % order
-        shift = col + stride * ((digit + 1) % order - digit)
-        stride *= order
-        if [rows(d[:, shift]) for d in dense] != want:
-            return range(n)
-    return range(0, n, size)
+    for order in reversed(orders):
+        drop, period = stride * (order - 1), stride * order
+        last = sum(((1 << stride) - 1) << (drop + k) for k in range(0, h.cols, period))
+        for want in rows:
+            if sorted((r & ~last) << stride | (r & last) >> drop for r in want) != want:
+                return False
+        stride = period
+    return True
 
 
 def _lightest(h: BitMatrix, trivial, roots, w_max: int, budget: int) -> DistanceBound:
@@ -350,22 +361,20 @@ def _escalate(
     """``bound`` if it has a witness or ``iterations < 1``; else ``bound``
     deepened, then sampled.
 
-    If the code has logicals, the exhaustive search runs again at w =
+    If the code has logicals, ``distance_exhaustive`` runs again at w =
     bound.lower, bound.lower + 1, ... while C(n, 1) + ... + C(n, w) fits
-    ``budget``, and the first witness found is returned as exact, as
-    ``distance_exhaustive`` at w would return it.  Each level certifies its
-    weight: ``bound.lower`` is certified, so a level that finds nothing
-    rules out every logical of weight <= w, and one that finds one finds it
-    at weight w.  Once the budget stops the deepening, the lower bound is
-    the first w it did not reach, and ``distance_randomized`` adds its upper
-    bound and witness, if any.  (Without logicals no level would end it.)"""
+    ``budget``, and the first witness found is returned as exact.  Each
+    level certifies its weight: ``bound.lower`` is certified, so a level
+    that finds nothing rules out every logical of weight <= w, and one that
+    finds one finds it at weight w.  Once the budget stops the deepening,
+    the lower bound is the first w it did not reach, and
+    ``distance_randomized`` adds its upper bound and witness, if any.
+    (Without logicals no level would end it.)"""
     if bound.upper is not None or iterations < 1:
         return bound
-    p, opp = _select_check_pair(code, err_type)
-    trivial, roots, w = rref(opp), _translation_roots(code, p, opp), bound.lower
-    has_logicals = p.cols - rank(p) > trivial.rank  # k > 0
-    while has_logicals and _enum_cost(p.cols, w) <= budget:
-        deeper = _lightest(p, trivial, roots, w, budget)
+    w, has_logicals = bound.lower, logical_count(code) > 0
+    while has_logicals and _enum_cost(code.n, w) <= budget:
+        deeper = distance_exhaustive(code, err_type, w, budget)
         if deeper.upper is not None:
             return deeper
         w += 1

@@ -1,8 +1,12 @@
 """Dense GF(2) linear algebra on matrices held as Python-int rows.
 
 A ``BitMatrix`` is a tuple of ints, one per row, with bit j holding column
-j, plus its row and column counts.  Matrices are immutable after
-construction and safe to share across threads read-only.  A row XOR is a
+j, plus its row and column counts.  A matrix is an immutable value.  Its
+RREF and its transpose are computed on first use and kept on the matrix,
+so every later ``rref``, ``rank``, ``kernel_basis``, ``transpose`` or
+``col_ints`` of it reuses them.  Filling a cache is idempotent (it stores
+a value determined by the rows), so matrices stay safe to share across
+threads and forked workers.  A row XOR is a
 single big-int operation however many columns the row spans, which beats
 per-column numpy calls on the matrix sizes the distance engines see (tens
 to a few hundred rows).  Row reduction costs, per pivot column, one scan
@@ -41,9 +45,13 @@ class DimensionMismatch(GF2Error):
 
 class BitMatrix:
     """An immutable rows x cols matrix over GF(2).  ``ints[i]`` is row i as
-    an int in [0, 2**cols), bit j = column j."""
+    an int in [0, 2**cols), bit j = column j.
 
-    __slots__ = ("rows", "cols", "ints")
+    ``_rref`` and ``_t`` hold the matrix's RREF and transpose once ``rref``
+    and ``transpose`` have computed them.  They are derived from the rows,
+    so they take no part in ``==``, ``hash``, ``repr`` or pickling."""
+
+    __slots__ = ("rows", "cols", "ints", "_rref", "_t")
 
     def __init__(self, row_ints, cols: int):
         ints = tuple(row_ints)
@@ -54,6 +62,8 @@ class BitMatrix:
         self.rows = len(ints)
         self.cols = cols
         self.ints = ints
+        self._rref = None
+        self._t = None
 
     # ---- constructors -------------------------------------------------
 
@@ -127,6 +137,9 @@ class BitMatrix:
     def __repr__(self):
         return f"BitMatrix({self.rows}x{self.cols})"
 
+    def __reduce__(self):
+        return type(self), (self.ints, self.cols)
+
 
 @dataclass(frozen=True)
 class RrefCache:
@@ -163,10 +176,20 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 
 def transpose(a: BitMatrix) -> BitMatrix:
-    return BitMatrix.from_dense(a.to_dense().T)
+    """The transpose of ``a``, computed once per matrix."""
+    if a._t is None:
+        a._t = BitMatrix.from_dense(a.to_dense().T)
+    return a._t
 
 
 def rref(a: BitMatrix) -> RrefCache:
+    """The reduced row-echelon form of ``a``, computed once per matrix."""
+    if a._rref is None:
+        a._rref = _eliminate(a)
+    return a._rref
+
+
+def _eliminate(a: BitMatrix) -> RrefCache:
     """Gauss-Jordan elimination over GF(2) on int rows (see the module
     docstring).  The reduced form is unique, so the result does not depend
     on the pivot-row choice."""

@@ -9,7 +9,7 @@ shape C(t,k-1)*n x C(t,k)*n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -101,7 +101,11 @@ def verify_complex(maps: list[BitMatrix]) -> bool:
 
 @dataclass(frozen=True)
 class MCssCode:
-    """CSS code with optional metachecks extracted from a chain complex."""
+    """CSS code with optional metachecks extracted from a chain complex.
+
+    ``_roots`` keeps the answers of ``codeparams._translation_roots``,
+    keyed by its (h, stab) matrices; ``dataclasses.replace`` starts an
+    empty one."""
 
     n: int
     p_x: BitMatrix
@@ -112,6 +116,7 @@ class MCssCode:
     generators: tuple[RingElem, ...]
     t: int
     q: int
+    _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def extract_mcss(

@@ -99,6 +99,31 @@ def kron_circulant(orders, monomials) -> np.ndarray:
     return out
 
 
+def reference_translation_roots(code, h, stab) -> range:
+    """Block origins if shifting every block of |G| columns by one unit of
+    each cyclic factor permutes the rows of ``h`` and of ``stab`` (compared
+    as sorted packed dense rows, the columns permuted by index arrays);
+    otherwise every column."""
+    size, n = code.spec.size, h.cols
+    if n % size:
+        return range(n)
+
+    def rows(d: np.ndarray) -> list[bytes]:
+        return sorted(map(bytes, np.packbits(d, axis=1)))
+
+    col = np.arange(n)
+    dense = [m.to_dense() for m in (h, stab)]
+    want = [rows(d) for d in dense]
+    stride = 1
+    for order in reversed(code.spec.orders):
+        digit = col % size // stride % order
+        shift = col + stride * ((digit + 1) % order - digit)
+        stride *= order
+        if [rows(d[:, shift]) for d in dense] != want:
+            return range(n)
+    return range(0, n, size)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -232,6 +232,10 @@ class TestBadInput:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         return err
 
+    def test_table2_unknown_row(self, capsys):
+        err = self.expect_usage_error(["table2", "22"], capsys)
+        assert "rows 22:" in err and "1-21" in err and ".json" not in err
+
     def test_distance_workers_zero(self, capsys):
         err = self.expect_usage_error(
             ["distance", ROW13, "--type", "Z", "--w-exhaustive", "2",

@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import math
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,10 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmcodes import codeparams as cp
-from mmcodes.cli import build_from_config, load_fixture
+from mmcodes import gf2
+from mmcodes.cli import build_from_config, fixture_names, load_fixture
 from mmcodes.gf2 import BitMatrix, in_rowspace, kernel_basis, mat_mul, rref, transpose
 from mmcodes.koszul import build_code
 from mmcodes.ring import GroupSpec, RingElem, parse_poly
+from mmcodes.search import SearchConfig, evaluate_candidate
+
+from conftest import reference_translation_roots
 
 
 def make(orders, polys, names=None, q=None):
@@ -21,6 +24,14 @@ def make(orders, polys, names=None, q=None):
     gens = [parse_poly(p, spec, names) for p in polys]
     code, _ = build_code(gens, spec, q_override=q)
     return code
+
+
+def code_pairs(code):
+    """The (h, stab) pairs whose roots the distance cores ask for: X and Z
+    distance, then single-shot distance (M, P^T) where M exists."""
+    pairs = [cp._select_check_pair(code, et) for et in ("X", "Z")]
+    return pairs + [(m, transpose(p)) for m, p in
+                    ((code.m_x, code.p_x), (code.m_z, code.p_z)) if m is not None]
 
 
 @pytest.fixture(scope="module")
@@ -340,10 +351,7 @@ class TestSyndromeEnumeration:
         single-shot (ssX, ssZ) cores rooted at block origins agree with the
         cores rooted at every column at w = 4, witness included."""
         code = build_from_config(load_fixture(f"{name}.json"))
-        pairs = [cp._select_check_pair(code, et) for et in ("X", "Z")]
-        pairs += [(m, transpose(p)) for m, p in
-                  ((code.m_x, code.p_x), (code.m_z, code.p_z)) if m is not None]
-        for h, stab in pairs:
+        for h, stab in code_pairs(code):
             roots = cp._translation_roots(code, h, stab)
             assert roots == range(0, h.cols, code.spec.size)
             trivial = rref(stab)
@@ -427,7 +435,7 @@ class TestSingleShot:
         follows the two-stream ``_isd``."""
         code = build_from_config(load_fixture("table2_row13.json"))
         h, stab = cp._select_check_pair(code, "X")
-        pair = SimpleNamespace(m_x=h, p_x=transpose(stab), spec=code.spec)
+        pair = dataclasses.replace(code, m_x=h, p_x=transpose(stab))
         one, two = (
             cp.single_shot_distance(pair, "X", 1, iterations=20, seed=2, workers=w)
             for w in (1, 2)
@@ -623,6 +631,73 @@ def draw_generators(data, spec, t):
     ]
 
 
+class TestTranslationRoots:
+    """``_translation_roots`` (int rows, kept on the code) against the
+    dense check in ``conftest.reference_translation_roots``."""
+
+    def test_every_fixture_pair(self):
+        """All 105 pairs of the 30 fixtures; about 0.6 s."""
+        pairs = [(code, h, stab) for code in
+                 (build_from_config(load_fixture(f)) for f in fixture_names())
+                 for h, stab in code_pairs(code)]
+        assert len(pairs) == 105
+        for code, h, stab in pairs:
+            want = reference_translation_roots(code, h, stab)
+            assert cp._translation_roots(code, h, stab) == want
+            assert cp._translation_roots(code, h, stab) == want  # from the cache
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        orders=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        t=st.integers(2, 4),
+        data=st.data(),
+    )
+    def test_random_codes(self, orders, t, data):
+        """``build_code`` codes, which are invariant, and the same codes
+        with their qubits permuted, which mostly are not; about 0.3 s."""
+        spec = GroupSpec(tuple(orders))
+        assume(2 <= spec.size <= 12)
+        gens = draw_generators(data, spec, t)
+        code, _ = build_code(gens, spec, q_override=data.draw(st.integers(1, t - 1)))
+        if data.draw(st.booleans()):
+            perm = data.draw(st.permutations(range(code.n)))
+            code = dataclasses.replace(
+                code,
+                p_x=BitMatrix.from_dense(code.p_x.to_dense()[:, perm]),
+                p_z=BitMatrix.from_dense(code.p_z.to_dense()[:, perm]),
+            )
+        for h, stab in code_pairs(code):
+            assert cp._translation_roots(code, h, stab) == (
+                reference_translation_roots(code, h, stab))
+
+
+def test_no_matrix_is_reduced_twice(monkeypatch):
+    """Search's evaluation of an accepted bench candidate (its distances
+    reach the information-set passes) and a full tt72 report eliminate
+    each matrix content once: every later rref, rank or kernel of it, and
+    of its transpose, comes from the matrix's cache.  About 0.1 s."""
+    reduced = []
+    eliminate = gf2._eliminate
+
+    def counted(a):
+        reduced.append((a.cols, a.ints))
+        return eliminate(a)
+
+    monkeypatch.setattr(gf2, "_eliminate", counted)
+    spec = GroupSpec((2, 2, 2, 3))
+    gens = [parse_poly(p, spec) for p in
+            ("1+z+x*y+x*y*z", "1+y+w*z+w*y*z", "1+w*z", "1+x*z")]
+    config = SearchConfig(t=4, orders=((2, 2, 2, 3),), distance_budget=(3, 30),
+                          require_k_min=2, require_d_min=3, workers=2)
+    report = evaluate_candidate(gens, spec, config)
+    assert report.d_x.lower == report.d_x.upper == 6
+    tt72 = build_from_config(load_fixture("tt72.json"))
+    report = cp.analyze(tt72, iterations=5, ss_w=2, confinement_w=3)
+    assert report.d_x.upper == 12 and report.d_ss_z.upper == 6
+    assert len(reduced) > 60  # the information-set passes ran
+    assert len(set(reduced)) == len(reduced)
+
+
 class TestConfinement:
     def test_row02_reproduces_the_criterion_4_profile(self):
         """The [8,8,8,8] profile that criterion 4 asserts for a weight-2
@@ -738,17 +813,23 @@ class TestConfinement:
         # Swapping qubits 0 and 5 breaks translation invariance: both block
         # origins (qubits 0 and 4) now hold weight-3 columns of P_X, while the
         # lightest columns have weight 2, so rooting at the origins alone
-        # would miss the lightest single-qubit Z error.
-        code = make([4], ["1+x", "1+x+x^2"])
+        # would miss the lightest single-qubit Z error.  The original code's
+        # roots are asked for first, so a cache that outlived ``replace``
+        # would answer with its block origins.
+        original = make([4], ["1+x", "1+x+x^2"])
+        for et in ("X", "Z"):
+            h, stab = cp._select_check_pair(original, et)
+            assert cp._translation_roots(original, h, stab) == range(0, 8, 4)
         perm = [5, 1, 2, 3, 4, 0, 6, 7]
         code = dataclasses.replace(
-            code,
-            p_x=BitMatrix.from_dense(code.p_x.to_dense()[:, perm]),
-            p_z=BitMatrix.from_dense(code.p_z.to_dense()[:, perm]),
+            original,
+            p_x=BitMatrix.from_dense(original.p_x.to_dense()[:, perm]),
+            p_z=BitMatrix.from_dense(original.p_z.to_dense()[:, perm]),
         )
         for et in ("X", "Z"):
             h, stab = cp._select_check_pair(code, et)
             assert cp._translation_roots(code, h, stab) == range(code.n)
+            assert reference_translation_roots(code, h, stab) == range(code.n)
             got = cp.confinement_profile(code, et, 3)
             assert got.entries == brute_confinement(code, et, 3)
 

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,6 +284,38 @@ class TestTranspose:
     def test_row_vector(self):
         t = transpose(BitMatrix.from_dense([[1, 0, 1]]))
         assert t.to_dense().tolist() == [[1], [0], [1]]
+
+
+class TestDerivedCaches:
+    """A matrix keeps its RREF and transpose once computed; they are not
+    part of its value."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=shaped_matrices())
+    def test_rref_is_computed_once(self, m):
+        """About 0.1 s."""
+        bm = BitMatrix.from_dense(m)
+        first = rref(bm)
+        assert rref(bm) is first
+        reduced, pivots, r = oracle_rref(m)
+        assert np.array_equal(first.rref.to_dense(), reduced)
+        assert (first.pivot_cols, first.rank) == (pivots, r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=shaped_matrices())
+    def test_caches_leave_the_value_alone(self, m):
+        """``==``, ``hash``, ``repr`` and the pickled bytes are the same
+        before and after the caches fill; about 0.1 s."""
+        bm, twin = BitMatrix.from_dense(m), BitMatrix.from_dense(m)
+        before = (hash(bm), repr(bm), pickle.dumps(bm))
+        t = transpose(bm)
+        assert transpose(bm) is t and transpose(t) == bm
+        assert bm.col_ints() == t.row_ints()
+        kernel_basis(bm)
+        assert bm == twin and twin == bm
+        assert (hash(bm), repr(bm), pickle.dumps(bm)) == before
+        copy = pickle.loads(pickle.dumps(bm))
+        assert copy == bm and rref(copy).rref == rref(bm).rref
 
 
 def test_vstack(rng):
