@@ -215,27 +215,17 @@ def cmd_params(args, out) -> int:
 
 
 def cmd_distance(args, out) -> int:
+    """``distance`` (kind X or Z) and ``ssdist`` (kind ssX or ssZ): one
+    exhaustive search up to the weight flag, then the escalation."""
     cfg, code = _load_code(args.config)
-    budget = enum_budget()
-    bound = cp.distance_exhaustive(code, args.type, args.w_exhaustive, budget)
-    bound = cp._escalate(
-        code, args.type, bound, args.iterations, args.seed, args.workers,
-        budget=budget,
-    )
-    _emit({"name": cfg.name, "type": args.type, **bound.to_dict()}, out)
-    return EXIT_OK
-
-
-def cmd_ssdist(args, out) -> int:
-    cfg, code = _load_code(args.config)
+    budget, kind = enum_budget(), args.kind_prefix + args.type
     try:
-        bound = cp.single_shot_distance(
-            code, args.type, args.w_max, args.iterations, args.seed, enum_budget(),
-            args.workers,
-        )
+        bound = cp.distance_exhaustive(code, kind, args.w_max, budget)
     except cp.MetacheckAbsent as exc:
         _emit({"name": cfg.name, "error": str(exc)}, out)
         return EXIT_VERIFY
+    bound = cp._escalate(code, kind, bound, args.iterations, args.seed, args.workers,
+                         budget=budget)
     _emit({"name": cfg.name, "type": args.type, **bound.to_dict()}, out)
     return EXIT_OK
 
@@ -447,23 +437,18 @@ def make_parser() -> argparse.ArgumentParser:
     common(pa)
     pa.set_defaults(func=cmd_params)
 
-    d = sub.add_parser("distance", help="distance bounds for one error type")
-    d.add_argument("config")
-    d.add_argument("--type", choices=["X", "Z"], required=True)
-    d.add_argument(
-        "--w-exhaustive", type=positive_int, default=4, dest="w_exhaustive"
-    )
-    d.add_argument("--iterations", type=nonnegative_int, default=0)
-    common(d)
-    d.set_defaults(func=cmd_distance)
-
-    s = sub.add_parser("ssdist", help="single-shot distance bounds")
-    s.add_argument("config")
-    s.add_argument("--type", choices=["X", "Z"], required=True)
-    s.add_argument("--w-max", type=positive_int, default=4, dest="w_max")
-    s.add_argument("--iterations", type=nonnegative_int, default=0)
-    common(s)
-    s.set_defaults(func=cmd_ssdist)
+    for command, prefix, help_text in (
+        ("distance", "", "distance bounds for one error type"),
+        ("ssdist", "ss", "single-shot distance bounds"),
+    ):
+        d = sub.add_parser(command, help=help_text)
+        d.add_argument("config")
+        d.add_argument("--type", choices=["X", "Z"], required=True)
+        d.add_argument(_WEIGHT_FLAG[command], type=positive_int, default=4,
+                       dest="w_max")
+        d.add_argument("--iterations", type=nonnegative_int, default=0)
+        common(d)
+        d.set_defaults(func=cmd_distance, kind_prefix=prefix)
 
     c = sub.add_parser("confine", help="confinement profile")
     c.add_argument("config")

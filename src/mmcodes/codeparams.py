@@ -84,7 +84,13 @@ def _plain(x):
 
 
 def _support_key(sup: int) -> tuple[int, ...]:
-    return tuple(i for i in range(sup.bit_length()) if (sup >> i) & 1)
+    """The set bits of ``sup``, ascending, lowest first by ``x & -x``."""
+    out = []
+    while sup:
+        low = sup & -sup
+        out.append(low.bit_length() - 1)
+        sup ^= low
+    return tuple(out)
 
 
 def _enum_cost(n: int, w_max: int) -> int:
@@ -153,14 +159,22 @@ def low_weight_kernel_vectors(
     return out
 
 
-def _select_check_pair(code: MCssCode, err_type: str) -> tuple[BitMatrix, BitMatrix]:
-    """For an error of the given Pauli type, return (detecting matrix,
-    same-type stabilizer matrix)."""
-    if err_type == "Z":
+def _select_check_pair(code: MCssCode, kind: str) -> tuple[BitMatrix, BitMatrix]:
+    """The pair (h, stab) of a distance problem: the lightest v with h v^T =
+    0 outside the row space of ``stab``.  For an error of Pauli type "X" or
+    "Z", h detects it and stab holds the same-type stabilizers; for the
+    single-shot kinds "ssX" and "ssZ", h is the metacheck M and stab the
+    transposed check matrix P^T (Campbell, QST 4, 025006, 2019)."""
+    if kind == "Z":
         return code.p_x, code.p_z
-    if err_type == "X":
+    if kind == "X":
         return code.p_z, code.p_x
-    raise ValueError(f"err_type must be 'X' or 'Z', got {err_type!r}")
+    if kind in ("ssX", "ssZ"):
+        m, p = (code.m_x, code.p_x) if kind == "ssX" else (code.m_z, code.p_z)
+        if m is None:
+            raise MetacheckAbsent(f"no {kind[2]}-metacheck for t={code.t}, q={code.q}")
+        return m, transpose(p)
+    raise ValueError(f"kind must be 'X', 'Z', 'ssX' or 'ssZ', got {kind!r}")
 
 
 def logical_count(code: MCssCode) -> int:
@@ -224,12 +238,13 @@ def _lightest(h: BitMatrix, trivial, roots, w_max: int, budget: int) -> Distance
 
 def distance_exhaustive(
     code: MCssCode,
-    err_type: str,
+    kind: str,
     w_max: int,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> DistanceBound:
-    """Certified search over all errors of weight <= w_max."""
-    p, opp = _select_check_pair(code, err_type)
+    """Certified search over all errors (or, for the single-shot kinds,
+    syndromes) of weight <= w_max; ``kind`` as in ``_select_check_pair``."""
+    p, opp = _select_check_pair(code, kind)
     return _lightest(p, rref(opp), _translation_roots(code, p, opp), w_max, budget)
 
 
@@ -334,7 +349,7 @@ def _isd(
 
 def distance_randomized(
     code: MCssCode,
-    err_type: str,
+    kind: str,
     iterations: int,
     seed: int,
     workers: int = 1,
@@ -349,20 +364,22 @@ def distance_randomized(
     ``it mod workers``, seeded by (seed, stream).  Nothing runs
     concurrently; the passes run one after another in this process.
     """
-    p, opp = _select_check_pair(code, err_type)
+    p, opp = _select_check_pair(code, kind)
     return _isd(p, rref(opp), iterations, seed, workers, stop_at)
 
 
 def _escalate(
-    code: MCssCode, err_type: str, bound: DistanceBound, iterations: int,
+    code: MCssCode, kind: str, bound: DistanceBound, iterations: int,
     seed: int, workers: int, stop_at: int | None = None,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> DistanceBound:
     """``bound`` if it has a witness or ``iterations < 1``; else ``bound``
-    deepened, then sampled.
+    deepened, then sampled.  The one place that decides between the two,
+    for every ``kind`` of ``_select_check_pair``.
 
-    If the code has logicals, ``distance_exhaustive`` runs again at w =
-    bound.lower, bound.lower + 1, ... while C(n, 1) + ... + C(n, w) fits
+    If the pair (h, stab) has logicals, dim ker h > rank stab (for X and Z
+    that is k > 0), ``distance_exhaustive`` runs again at w = bound.lower,
+    bound.lower + 1, ... while C(n, 1) + ... + C(n, w), n = h.cols, fits
     ``budget``, and the first witness found is returned as exact.  Each
     level certifies its weight: ``bound.lower`` is certified, so a level
     that finds nothing rules out every logical of weight <= w, and one that
@@ -372,13 +389,14 @@ def _escalate(
     (Without logicals no level would end it.)"""
     if bound.upper is not None or iterations < 1:
         return bound
-    w, has_logicals = bound.lower, logical_count(code) > 0
-    while has_logicals and _enum_cost(code.n, w) <= budget:
-        deeper = distance_exhaustive(code, err_type, w, budget)
+    h, stab = _select_check_pair(code, kind)
+    w, has_logicals = bound.lower, h.cols - rank(h) > rank(stab)
+    while has_logicals and _enum_cost(h.cols, w) <= budget:
+        deeper = distance_exhaustive(code, kind, w, budget)
         if deeper.upper is not None:
             return deeper
         w += 1
-    r = distance_randomized(code, err_type, iterations, seed, workers, stop_at)
+    r = distance_randomized(code, kind, iterations, seed, workers, stop_at)
     return replace(bound if r.upper is None else r, lower=w)
 
 
@@ -393,27 +411,11 @@ def single_shot_distance(
 ) -> DistanceBound:
     """Minimum weight of a syndrome passing the metachecks yet not realizable
     by any error: s in ker(M) minus the column space of the check matrix.
-    That is the distance problem of the pair (M, P^T), solved by the same
-    exhaustive and information-set cores as ``distance_exhaustive`` and
-    ``distance_randomized`` (passes cycling through the streams (seed, w),
-    w < workers)."""
-    if check_type == "X":
-        m, p = code.m_x, code.p_x
-    elif check_type == "Z":
-        m, p = code.m_z, code.p_z
-    else:
-        raise ValueError(f"check_type must be 'X' or 'Z', got {check_type!r}")
-    if m is None:
-        raise MetacheckAbsent(
-            f"no {check_type}-metacheck for t={code.t}, q={code.q}"
-        )
-    pt = transpose(p)
-    valid = rref(pt)
-    bound = _lightest(m, valid, _translation_roots(code, m, pt), w_max, budget)
-    if bound.upper is not None or iterations < 1:
-        return bound
-    r = _isd(m, valid, iterations, seed, workers)
-    return bound if r.upper is None else replace(r, lower=bound.lower)
+    That is the distance problem of the pair (M, P^T), kind "ss" +
+    ``check_type``, searched up to w_max and escalated like any other."""
+    kind = "ss" + check_type
+    bound = distance_exhaustive(code, kind, w_max, budget)
+    return _escalate(code, kind, bound, iterations, seed, workers, budget=budget)
 
 
 # ---- confinement ------------------------------------------------------
@@ -512,7 +514,8 @@ def confinement_profile(
     samples: int = 20000,
 ) -> ConfinementProfile:
     """Minimum nonzero syndrome weight over irreducible errors, per reduced
-    error weight 1..w_max.
+    error weight 1..w_max.  ``err_type`` is "X" or "Z": the single-shot
+    kinds of ``_select_check_pair`` pose no confinement problem.
 
     An error of weight w is irreducible when its coset under the same-type
     stabilizers contains no lighter vector.  Candidates have supports
@@ -568,6 +571,8 @@ def confinement_profile(
     """
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
+    if err_type not in ("X", "Z"):
+        raise ValueError(f"err_type must be 'X' or 'Z', got {err_type!r}")
     if mode not in ("exact", "cluster"):
         raise ValueError(f"mode must be 'exact' or 'cluster', got {mode!r}")
     h, stab = _select_check_pair(code, err_type)
@@ -694,19 +699,19 @@ def profile_min(*profiles: ConfinementProfile | None) -> int | None:
 
 
 def _report(
-    code: MCssCode, name: str, k: int, d: dict[str, DistanceBound],
-    d_ss: dict[str, DistanceBound | None], confinement_w: int | None,
-    seed: int, workers: int, params: dict,
+    code: MCssCode, name: str, k: int, d: dict[str, DistanceBound | None],
+    confinement_w: int | None, seed: int, workers: int, params: dict,
 ) -> CodeReport:
-    """The report on ``code`` from its distance and single-shot bounds (keyed
-    by "X" and "Z"), adding the confinement profiles up to ``confinement_w``
-    (none when None), ``d_s`` and the check weights."""
+    """The report on ``code`` from its bounds keyed by kind (see
+    ``_select_check_pair``; a single-shot kind may be absent), adding the
+    confinement profiles up to ``confinement_w`` (none when None), ``d_s``
+    and the check weights."""
     conf = {et: None if confinement_w is None else
             confinement_profile(code, et, confinement_w, seed=seed)
             for et in ("X", "Z")}
     return CodeReport(
-        name=name, n=code.n, k=k, d_x=d["X"], d_z=d["Z"], d_ss_x=d_ss["X"],
-        d_ss_z=d_ss["Z"], confinement_x=conf["X"], confinement_z=conf["Z"],
+        name=name, n=code.n, k=k, d_x=d["X"], d_z=d["Z"], d_ss_x=d.get("ssX"),
+        d_ss_z=d.get("ssZ"), confinement_x=conf["X"], confinement_z=conf["Z"],
         d_s=profile_min(*conf.values()), weights=check_weight_stats(code),
         seed=seed, workers=workers, params=params,
     )
@@ -723,16 +728,17 @@ def analyze(
     workers: int = 1,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> CodeReport:
-    """Run the full parameter pipeline with the given search budgets."""
+    """Run the full parameter pipeline with the given search budgets: the X
+    and Z distances up to ``w_exhaustive`` and, if ``ss_w`` is set, the
+    single-shot distances up to it where a metacheck exists."""
     k = logical_count(code)
     bounds = {}
-    for et in ("X", "Z"):
+    for et, m in (("X", code.m_x), ("Z", code.m_z)):
         b = distance_exhaustive(code, et, w_exhaustive, budget)
-        bounds[et] = _escalate(code, et, b, iterations, seed, workers,
-                               budget=budget)
-    d_ss = {et: None if ss_w is None or m is None else
-            single_shot_distance(code, et, ss_w, iterations, seed, budget, workers)
-            for et, m in (("X", code.m_x), ("Z", code.m_z))}
+        bounds[et] = _escalate(code, et, b, iterations, seed, workers, budget=budget)
+        if ss_w is not None and m is not None:
+            bounds["ss" + et] = single_shot_distance(code, et, ss_w, iterations, seed,
+                                                     budget, workers)
     params = {"w_exhaustive": w_exhaustive, "iterations": iterations,
               "confinement_w": confinement_w, "ss_w": ss_w}
-    return _report(code, name, k, bounds, d_ss, confinement_w, seed, workers, params)
+    return _report(code, name, k, bounds, confinement_w, seed, workers, params)

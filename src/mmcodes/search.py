@@ -201,8 +201,8 @@ def evaluate_candidate(
         bounds[et] = b
     params = {"orders": list(spec.orders), "generators": [render(g) for g in gens],
               "w_exhaustive": w_exh, "iterations": iters}
-    return cp._report(code, "search", k, bounds, {"X": None, "Z": None},
-                      config.confinement_w_max, config.seed, config.workers, params)
+    return cp._report(code, "search", k, bounds, config.confinement_w_max,
+                      config.seed, config.workers, params)
 
 
 def _usable_cpus() -> int:

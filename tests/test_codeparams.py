@@ -16,7 +16,7 @@ from mmcodes.koszul import build_code
 from mmcodes.ring import GroupSpec, RingElem, parse_poly
 from mmcodes.search import SearchConfig, evaluate_candidate
 
-from conftest import reference_translation_roots
+from conftest import oracle_rank, reference_translation_roots
 
 
 def make(orders, polys, names=None, q=None):
@@ -177,7 +177,11 @@ def check_escalation(code, err_type, w_exh, iterations, seed, budget):
     below the first weight over ``budget``, else it is the reference's upper
     bound and witness over a lower bound raised to that weight; either way
     the lower bound is certified.  Without passes or logicals nothing is
-    deepened."""
+    deepened.  ``err_type`` is any kind of ``_select_check_pair``; the
+    pair (h, stab) has logicals iff dim ker h > rank stab."""
+    h, stab = (m.to_dense() for m in cp._select_check_pair(code, err_type))
+    n = h.shape[1]
+    has_logicals = n - oracle_rank(h) > oracle_rank(stab)
     exhaustive = cp.distance_exhaustive(code, err_type, w_exh)
     old = reference_escalate(code, err_type, exhaustive, iterations, seed)
     new = cp._escalate(code, err_type, exhaustive, iterations, seed, 1, budget=budget)
@@ -187,9 +191,8 @@ def check_escalation(code, err_type, w_exh, iterations, seed, budget):
     if old.upper is not None:
         assert new.upper is not None and new.upper <= old.upper
     # A logical has at most n qubits, so with one the deepening ends by n.
-    w_stop = old.lower if not cp.logical_count(code) else next(
-        (w for w in range(old.lower, code.n + 1) if cp._enum_cost(code.n, w) > budget),
-        code.n + 1)
+    w_stop = old.lower if not has_logicals else next(
+        (w for w in range(old.lower, n + 1) if cp._enum_cost(n, w) > budget), n + 1)
     if new.lower < w_stop:
         assert new == cp.distance_exhaustive(code, err_type, new.upper)
     else:
@@ -233,9 +236,22 @@ class TestEscalation:
         extra = data.draw(st.sampled_from([None, 0, 1, 2]))
         budget = (cp.DEFAULT_ENUM_BUDGET if extra is None
                   else cp._enum_cost(code.n, w_exh + extra))
-        for et in ("X", "Z"):
-            check_escalation(code, et, w_exh, data.draw(st.integers(1, 10)),
+        kinds = ["X", "Z"] + ["ss" + ct for ct, m in (("X", code.m_x), ("Z", code.m_z))
+                              if m is not None]
+        for kind in kinds:
+            check_escalation(code, kind, w_exh, data.draw(st.integers(1, 10)),
                              data.draw(st.integers(0, 9)), budget)
+
+
+    def test_a_pair_without_logicals_is_not_deepened(self):
+        """Logicals are the pair's, not the code's: with M spanning the left
+        kernel of P_X, ker M is the column space of P_X, so the single-shot
+        problem has none although k > 0, and the escalation samples at
+        once.  (On the Koszul codes both have logicals or neither.)"""
+        code = build_from_config(load_fixture("table2_row01.json"))
+        tight = dataclasses.replace(code, m_x=kernel_basis(transpose(code.p_x)))
+        assert cp.logical_count(tight) > 0
+        check_escalation(tight, "ssX", 1, 5, 0, cp.DEFAULT_ENUM_BUDGET)
 
 
 def reference_isd_pass(gen_dense, rng, best_w):
@@ -334,6 +350,16 @@ class TestSyndromeEnumeration:
             assert vs == sorted(vs, key=cp._support_key)
             assert all(v.bit_count() == w for v in vs)
 
+    @settings(max_examples=200, deadline=None)
+    @given(sup=st.one_of(
+        st.integers(0, 2**300),
+        st.frozensets(st.integers(0, 2000)).map(lambda bits: sum(1 << i for i in bits)),
+    ))
+    def test_support_key_matches_the_bit_scan(self, sup):
+        """The set-bit walk lists what a scan of every bit position lists."""
+        scan = tuple(i for i in range(sup.bit_length()) if (sup >> i) & 1)
+        assert cp._support_key(sup) == scan
+
     def test_zero_w_max_lists_nothing(self):
         # Column 0 is zero, so a walk that recorded a zero-syndrome root
         # before checking the weight would list it at w_max = 0.
@@ -408,10 +434,13 @@ class TestSingleShot:
     ])
     def test_shared_tie_rule_keeps_bounds(self, name, check_type, seed):
         """Sharing distance's tie rule may only move the witness to an
-        equal-weight one that is lexicographically no larger."""
+        equal-weight one that is lexicographically no larger.  A budget of
+        exactly the weight-1 search keeps the escalation from deepening, so
+        the upper bound comes from the information-set passes."""
         code = build_from_config(load_fixture(f"{name}.json"))
         m, p = (code.m_x, code.p_x) if check_type == "X" else (code.m_z, code.p_z)
-        new = cp.single_shot_distance(code, check_type, 1, iterations=10, seed=seed)
+        new = cp.single_shot_distance(code, check_type, 1, iterations=10, seed=seed,
+                                      budget=cp._enum_cost(m.cols, 1))
         old = reference_single_shot(code, check_type, 1, 10, seed)
         assert (new.lower, new.upper) == (old.lower, old.upper)
         assert new.upper is not None
@@ -423,9 +452,10 @@ class TestSingleShot:
 
     def test_workers_split_the_streams(self):
         """The information-set stage is ``_isd`` on (M, P^T) with the
-        caller's ``workers``."""
+        caller's ``workers``, once the budget stops the deepening."""
         code = build_from_config(load_fixture("tt72.json"))
-        got = cp.single_shot_distance(code, "Z", 1, iterations=10, seed=3, workers=2)
+        got = cp.single_shot_distance(code, "Z", 1, iterations=10, seed=3, workers=2,
+                                      budget=cp._enum_cost(code.m_z.cols, 1))
         isd = cp._isd(code.m_z, rref(transpose(code.p_z)), 10, 3, 2)
         assert (got.upper, got.witness) == (isd.upper, isd.witness)
 
@@ -443,6 +473,19 @@ class TestSingleShot:
         isd = cp._isd(h, rref(stab), 20, 2, 2)
         assert (two.upper, two.witness) == (isd.upper, isd.witness)
         assert one.witness != two.witness
+
+    def test_escalation_deepens_to_the_exact_distance(self):
+        """Within the budget the escalation deepens the search from w_max
+        before it samples, as for X and Z distance: tt72's Z single-shot
+        distance is certified exact at 6."""
+        code = build_from_config(load_fixture("tt72.json"))
+        assert cp.single_shot_distance(code, "Z", 2).upper is None
+        got = cp.single_shot_distance(code, "Z", 2, iterations=1)
+        assert (got.lower, got.upper) == (6, 6)
+        s = np.zeros(code.m_z.cols, dtype=np.uint8)
+        s[list(got.witness)] = 1
+        assert not (code.m_z.to_dense() @ s % 2).any()
+        assert not in_rowspace(rref(transpose(code.p_z)), s)
 
     def test_zero_w_max_is_refused(self, row1):
         with pytest.raises(ValueError):
@@ -699,6 +742,11 @@ def test_no_matrix_is_reduced_twice(monkeypatch):
 
 
 class TestConfinement:
+    @pytest.mark.parametrize("kind", ["ssX", "ssZ", "Y"])
+    def test_only_error_types_have_a_profile(self, row1, kind):
+        with pytest.raises(ValueError):
+            cp.confinement_profile(row1, kind, 2)
+
     def test_row02_reproduces_the_criterion_4_profile(self):
         """The [8,8,8,8] profile that criterion 4 asserts for a weight-2
         generator code is the exact profile of table2_row02."""

@@ -36,6 +36,15 @@ information-set passes.  Bounds only tightened:
   bound 12 and its witness kept; d_z 3..6 -> exact 6, with the
   lexicographically first weight-6 logical as witness.
 
+One pin was re-recorded on purpose when the single-shot distance became
+two more kinds of the one distance problem and so began to deepen the same
+way: the digest of ``params tt72 --w-exhaustive 2 ... --ss-w 2``, whose
+``d_ss_z`` goes from 3..6 (upper bound and witness from the passes) to
+exact 6 with witness [0, 1, 10, 31, 40, 65].  Its other fields are
+unchanged.  The ``SINGLE_SHOT`` pins are unchanged: they pass a budget of
+exactly the search up to w_max, which stops the deepening, so their bounds
+still come from the information-set passes.
+
 The ``export`` pins were recorded while ``BitMatrix`` still stored its rows
 as packed uint64 words.  A JSON manifest holds the sha256 of every matrix's
 ``tobytes()``, so those pins fix the canonical matrix bytes of tt72 (``m_z``
@@ -106,9 +115,10 @@ STOP_AT = {
     },
 }
 
-# (fixture, check type, w_max) -> bound with iterations=10, seed=5.  The
-# exhaustive stage finds nothing up to w_max, so the upper bound and its
-# witness come from the information-set passes.
+# (fixture, check type, w_max) -> bound with iterations=10, seed=5 and a
+# budget of exactly the search up to w_max.  The exhaustive stage finds
+# nothing up to w_max and the budget stops the deepening, so the upper bound
+# and its witness come from the information-set passes.
 SINGLE_SHOT = {
     ("tt72", "Z", 2): {"lower": 3, "upper": 6, "witness": [0, 1, 14, 41, 45, 68]},
     ("table2_row13", "X", 2): {"lower": 3, "upper": 3, "witness": [63, 64, 65]},
@@ -140,7 +150,7 @@ CONFINE_SEARCH_SHA256 = (
 CLI_SHA256 = {
     "params tt72 --w-exhaustive 2 --iterations 20 --ss-w 2 --confinement-w 3"
     " --seed 3 --workers 2":
-        "0f8828026727297058f5141e1bf3fd322e5b6cc74e5da9c797a6a28f0c7f3ddb",
+        "b0e5e58433638a735bd21a07e5f11168be1d6330b9f99e3eb76ea4a4537c9ab1",
     "params table2_row13 --w-exhaustive 3 --iterations 10 --seed 1":
         "94361ea4d6610c72c565c53659a8e5435f940d0e6119c8fcc63f53e3e768e946",
     "distance table2_row13 --type X --w-exhaustive 3 --iterations 20 --seed 7"
@@ -207,7 +217,9 @@ def test_single_shot_distance(key):
     name, ct, w_max = key
     code = fixture_code(name)
     assert cp.single_shot_distance(code, ct, w_max).upper is None
-    bound = cp.single_shot_distance(code, ct, w_max, iterations=10, seed=5)
+    m = code.m_x if ct == "X" else code.m_z
+    bound = cp.single_shot_distance(code, ct, w_max, iterations=10, seed=5,
+                                    budget=cp._enum_cost(m.cols, w_max))
     assert bound.to_dict() == SINGLE_SHOT[key]
 
 
