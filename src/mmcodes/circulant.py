@@ -7,8 +7,6 @@ significant); each monomial shifts the decoded index componentwise.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .gf2 import BitMatrix, DimensionMismatch, mat_mul
 from .ring import GroupSpec, RingElem, SpecMismatch
 
@@ -30,23 +28,23 @@ class SizeBudgetExceeded(Exception):
 def poly_to_circulant(
     f: RingElem, spec: GroupSpec, size_budget: int = DEFAULT_SIZE_BUDGET
 ) -> BitMatrix:
-    """Column-by-column construction; exponents are already reduced into
-    [0, l_k), so no lifting step is needed."""
+    """Column-by-column construction: column j sets bit j of each row a
+    monomial shifts it to; exponents are already reduced into [0, l_k)."""
     if f.spec != spec:
         raise SpecMismatch(f"element spec {f.spec} does not match {spec}")
     n = spec.size
     if n > size_budget:
         raise SizeBudgetExceeded(n, size_budget)
     orders = spec.orders
-    dense = np.zeros((n, n), dtype=np.uint8)
+    rows = [0] * n
     for j in range(n):
         idxs = spec.index_to_exponents(j)
         for mono in f.monomials:
             row = 0
             for k in range(spec.dim):
                 row = row * orders[k] + (idxs[k] + mono[k]) % orders[k]
-            dense[row, j] ^= 1
-    return BitMatrix.from_dense(dense)
+            rows[row] ^= 1 << j
+    return BitMatrix(rows, n)
 
 
 def circulant_commute_check(mats: list[BitMatrix]) -> bool:

@@ -37,6 +37,10 @@ SCHEMA_VERSION = 1
 # its weight from the published d and the budget.
 _WEIGHT_FLAG = {"params": "--w-exhaustive", "distance": "--w-exhaustive",
                 "ssdist": "--w-max"}
+# The option or search-config field that sets each command's confinement
+# weight, the one knob of the confinement table's size.
+_CONFINE_FLAG = {"confine": "--w-max", "params": "--confinement-w",
+                 "search": "confinement_w_max"}
 
 
 class ConfigError(Exception):
@@ -158,21 +162,29 @@ def _emit(doc: dict, out):
     out.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _unwritable(exc: OSError) -> ConfigError:
+    """An output path that cannot be written, as a usage error."""
+    return ConfigError(f"cannot write {exc.filename}: {exc.strerror}")
+
+
 # ---- subcommands ------------------------------------------------------
 
 
 def cmd_build(args, out) -> int:
     cfg, code = _load_code(args.config)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     writer = formats.write_alist if args.format == "alist" else formats.write_mtx
     ext = args.format
-    for key, m in _matrices(code).items():
-        (outdir / f"{key}.{ext}").write_text(writer(m))
     man = manifest(code, cfg)
-    (outdir / "manifest.json").write_text(
-        json.dumps(man, sort_keys=True, indent=2) + "\n"
-    )
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for key, m in _matrices(code).items():
+            (outdir / f"{key}.{ext}").write_text(writer(m))
+        (outdir / "manifest.json").write_text(
+            json.dumps(man, sort_keys=True, indent=2) + "\n"
+        )
+    except OSError as exc:
+        raise _unwritable(exc) from exc
     _emit(man, out)
     return EXIT_OK
 
@@ -248,7 +260,11 @@ def cmd_search(args, out) -> int:
     flags = {k: v for k in ("seed", "workers") if (v := getattr(args, k)) is not None}
     config = replace(SearchConfig.from_dict(doc), **flags)
     if args.out:
-        with open(args.out, "w") as sink:
+        try:
+            sink = open(args.out, "w")
+        except OSError as exc:
+            raise _unwritable(exc) from exc
+        with sink:
             accepted = run_search(config, sink)
     else:
         accepted = run_search(config, out)
@@ -271,7 +287,10 @@ def cmd_export(args, out) -> int:
     else:
         text = json.dumps(manifest(code, cfg), sort_keys=True, indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise _unwritable(exc) from exc
     else:
         out.write(text)
     return EXIT_OK
@@ -334,7 +353,7 @@ def cmd_table2(args, out) -> int:
             ))
             if bound.upper is not None and bound.upper <= d_pub:
                 break
-        weights = [int(w) for m in (code.p_x, code.p_z) for w in m.row_weights()]
+        weights = [w for m in (code.p_x, code.p_z) for w in m.row_weights()]
         lower_med, arith_med = _medians(weights)
         checks = {
             "n": code.n == pub["n"],
@@ -505,7 +524,9 @@ def main(argv=None, out=None) -> int:
         return EXIT_USAGE
     except (cp.BudgetExceeded, SizeBudgetExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if isinstance(exc, cp.BudgetExceeded):  # the group size has no flag
+        if isinstance(exc, cp.TableTooLarge):  # MMCODES_BUDGET does not size it
+            sys.stderr.write(f"hint: lower {_CONFINE_FLAG[args.command]}\n")
+        elif isinstance(exc, cp.BudgetExceeded):  # the group size has no flag
             flag = _WEIGHT_FLAG.get(args.command)
             lower = f"lower {flag} or " if flag else ""
             sys.stderr.write(f"hint: {lower}raise MMCODES_BUDGET\n")

@@ -22,11 +22,14 @@ from math import comb, inf
 
 import numpy as np
 
-from .gf2 import BitMatrix, kernel_basis, in_rowspace, rank, rref, transpose
+from .gf2 import BitMatrix, _eliminate, kernel_basis, in_rowspace, rank, rref, transpose
 from .koszul import MCssCode
 
 DEFAULT_ENUM_BUDGET = 10**9
 DEFAULT_IRREDUCIBILITY_BUDGET = 10**8
+# Entries the coset table of ``confinement_profile`` may hold, in either
+# mode.  A table takes 90-115 bytes per entry, so this is 1.8-2.3 GB.
+CONFINEMENT_TABLE_CAP = 2 * 10**7
 
 
 class BudgetExceeded(Exception):
@@ -39,6 +42,14 @@ class BudgetExceeded(Exception):
 
     def __reduce__(self):
         return type(self), (self.needed, self.budget)
+
+
+class TableTooLarge(BudgetExceeded):
+    """The coset table of ``confinement_profile`` would pass the cap."""
+
+    def __str__(self):
+        return (f"the confinement table needs ~{self.needed:.3g} entries, "
+                f"over the cap {self.budget:.3g}")
 
 
 class MetacheckAbsent(Exception):
@@ -252,27 +263,25 @@ def distance_exhaustive(
 ISD_PAIR_BLOCK_BYTES = 32 * 2**20
 
 
-def _isd_pass(gen_dense: np.ndarray, rng: np.random.Generator, best_w: int):
-    """One information-set iteration (Prange): permute columns, row-reduce,
-    and yield the rows and row pairs of the reduced generator with weight
-    below ``best_w`` as (weight, support) pairs, in ascending (weight,
-    support-int) order, supports in the original column order.
+def _isd_pass(gen: BitMatrix, rng: np.random.Generator, best_w: int):
+    """One information-set iteration (Prange): row-reduce with the pivot
+    columns in random order (``gf2._eliminate``), and yield the rows and
+    row pairs of the result with weight below ``best_w`` as (weight,
+    support) pairs, in ascending (weight, support-int) order.
 
     Weights come from popcounts of the packed words, all pairs at once (in
-    row blocks of at most ``ISD_PAIR_BLOCK_BYTES``).  Supports are un-permuted
+    row blocks of at most ``ISD_PAIR_BLOCK_BYTES``).  Supports are built
     lazily, one weight group at a time, so a caller that stops at the first
     group it can no longer use never pays for the heavier ones.  Draws
-    exactly one ``rng.permutation(n)``.
+    exactly one ``rng.permutation(gen.cols)``.
     """
-    n = gen_dense.shape[1]
-    perm = rng.permutation(n)
-    reduced = rref(BitMatrix.from_dense(gen_dense[:, perm]))
-    r = reduced.rank
-    # The pivot rows as packed words; row r is all-zero, so a single row i
-    # is the "pair" (i, r).
-    nw = (n + 63) // 64
-    buf = b"".join(x.to_bytes(8 * nw, "little") for x in reduced.pivot_rows)
-    words = np.frombuffer(buf + bytes(8 * nw), dtype="<u8").reshape(r + 1, nw)
+    reduced = _eliminate(gen, rng.permutation(gen.cols).tolist())
+    # The pivot rows and an all-zero row r, so that a single row i is the
+    # "pair" (i, r); as packed words below.
+    r, rows = reduced.rank, reduced.pivot_rows + (0,)
+    nw = (gen.cols + 63) // 64
+    buf = b"".join(x.to_bytes(8 * nw, "little") for x in rows)
+    words = np.frombuffer(buf, dtype="<u8").reshape(r + 1, nw)
     cand_i, cand_j, cand_w = [], [], []
 
     def keep(ii: np.ndarray, jj: np.ndarray):
@@ -292,20 +301,9 @@ def _isd_pass(gen_dense: np.ndarray, rng: np.random.Generator, best_w: int):
         return
     order = np.argsort(cw, kind="stable")
     cuts = np.flatnonzero(np.diff(cw[order])) + 1
-    nbytes = (n + 7) // 8
     for group in np.split(order, cuts):
-        vecs = words[ci[group]] ^ words[cj[group]]
-        bits = np.unpackbits(vecs.view(np.uint8), axis=1, bitorder="little")
-        orig = np.zeros((len(group), n), dtype=np.uint8)
-        orig[:, perm] = bits[:, :n]
-        buf = np.packbits(orig, axis=1, bitorder="little").tobytes()
-        sups = sorted(
-            int.from_bytes(buf[i : i + nbytes], "little")
-            for i in range(0, len(buf), nbytes)
-        )
-        w = int(cw[group[0]])
-        for sup in sups:
-            yield w, sup
+        w, pairs = int(cw[group[0]]), zip(ci[group].tolist(), cj[group].tolist())
+        yield from ((w, sup) for sup in sorted(rows[i] ^ rows[j] for i, j in pairs))
 
 
 def _isd(
@@ -323,7 +321,6 @@ def _isd(
     gen = kernel_basis(h)
     if gen.rows == 0:
         return DistanceBound(lower=1, upper=None, witness=None)
-    gen_dense = gen.to_dense()
     best_w = h.cols + 1
     best_sup: int | None = None
     streams = [np.random.default_rng([seed, w]) for w in range(workers)]
@@ -332,7 +329,7 @@ def _isd(
         if done:
             break
         rng = streams[it % workers]
-        for w, sup in _isd_pass(gen_dense, rng, best_w):
+        for w, sup in _isd_pass(gen, rng, best_w):
             if w > best_w:
                 break
             if w < best_w or (w == best_w and best_sup is not None
@@ -556,6 +553,8 @@ def confinement_profile(
     when its sw is at least ``best`` then, so at least its final value.
     Exact mode still charges the budget 1 + sum_{j<w_max} C(n, j), the size
     of the full table, so ``mode`` and ``fell_back`` mean what they did.
+    Both modes build ``reachable``, whose 1 + sum_{j<=w_max-2} C(n, j)
+    entries past ``CONFINEMENT_TABLE_CAP`` raise ``TableTooLarge``.
 
     Cluster mode draws, per sample, a root with ``rng.integers(n)``, then
     each further qubit as the k-th set bit of the frontier mask (the Tanner
@@ -577,6 +576,9 @@ def confinement_profile(
         raise ValueError(f"mode must be 'exact' or 'cluster', got {mode!r}")
     h, stab = _select_check_pair(code, err_type)
     n = h.cols
+    entries = 1 + _enum_cost(n, w_max - 2)
+    if entries > CONFINEMENT_TABLE_CAP:
+        raise TableTooLarge(entries, CONFINEMENT_TABLE_CAP)
     fell_back = False
     # Exact mode pays for the coset-minimality sets, empty support included.
     if mode == "exact" and 1 + _enum_cost(n, w_max - 1) > budget:
@@ -660,7 +662,7 @@ def check_weight_stats(code: MCssCode) -> CheckWeightStats:
     """Lower-median and maximum row weights of the two check matrices."""
 
     def med_max(m: BitMatrix) -> tuple[int, int]:
-        ws = sorted(int(w) for w in m.row_weights())
+        ws = sorted(m.row_weights())
         return ws[(len(ws) - 1) // 2], ws[-1]
 
     mx, xx = med_max(code.p_x)

@@ -3,8 +3,6 @@ coordinate pattern.  Both round-trip bit-exactly."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from .gf2 import BitMatrix
 
 
@@ -12,13 +10,17 @@ class FormatError(Exception):
     pass
 
 
+def _ones(x: int) -> list[int]:
+    """The 1-based positions of the set bits of ``x``, ascending."""
+    return [j + 1 for j in range(x.bit_length()) if x >> j & 1]
+
+
 def write_alist(m: BitMatrix) -> str:
     """MacKay alist: header "cols rows", max column/row weights, per-column
     weights, per-row weights, then 1-indexed per-column and per-row index
     lists (unpadded)."""
-    dense = m.to_dense()
-    col_lists = [list(np.nonzero(dense[:, j])[0] + 1) for j in range(m.cols)]
-    row_lists = [list(np.nonzero(dense[i, :])[0] + 1) for i in range(m.rows)]
+    col_lists = [_ones(c) for c in m.col_ints()]
+    row_lists = [_ones(r) for r in m.ints]
     col_w = [len(c) for c in col_lists]
     row_w = [len(r) for r in row_lists]
     lines = [
@@ -46,28 +48,26 @@ def read_alist(text: str) -> BitMatrix:
         raise FormatError("alist: weight list lengths do not match header")
     if len(lines) < 4 + cols + rows:
         raise FormatError("alist: missing index lists")
-    dense = np.zeros((rows, cols), dtype=np.uint8)
+    ints = [0] * rows
     for j in range(cols):
         idx = [int(v) for v in lines[4 + j].split() if int(v) != 0]
         if len(idx) != col_w[j]:
             raise FormatError(f"alist: column {j + 1} weight mismatch")
         for i in idx:
-            dense[i - 1, j] = 1
+            ints[i - 1] |= 1 << j
     for i in range(rows):
         idx = [int(v) for v in lines[4 + cols + i].split() if int(v) != 0]
-        if sorted(idx) != sorted(int(j + 1) for j in np.nonzero(dense[i])[0]):
+        if sorted(idx) != _ones(ints[i]):
             raise FormatError(f"alist: row {i + 1} inconsistent with columns")
-    return BitMatrix.from_dense(dense)
+    return BitMatrix(ints, cols)
 
 
 MTX_HEADER = "%%MatrixMarket matrix coordinate pattern general"
 
 
 def write_mtx(m: BitMatrix) -> str:
-    dense = m.to_dense()
-    rr, cc = np.nonzero(dense)
-    lines = [MTX_HEADER, f"{m.rows} {m.cols} {len(rr)}"]
-    lines += [f"{i + 1} {j + 1}" for i, j in zip(rr, cc)]
+    entries = [f"{i + 1} {j}" for i, x in enumerate(m.ints) for j in _ones(x)]
+    lines = [MTX_HEADER, f"{m.rows} {m.cols} {len(entries)}", *entries]
     return "\n".join(lines) + "\n"
 
 
@@ -83,10 +83,10 @@ def read_mtx(text: str) -> BitMatrix:
         raise FormatError(f"mtx: bad size line: {exc}") from exc
     if len(lines) - 1 != nnz:
         raise FormatError(f"mtx: expected {nnz} entries, got {len(lines) - 1}")
-    dense = np.zeros((rows, cols), dtype=np.uint8)
+    ints = [0] * rows
     for ln in lines[1:]:
         i, j = map(int, ln.split()[:2])
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise FormatError(f"mtx: entry ({i},{j}) out of range")
-        dense[i - 1, j - 1] = 1
-    return BitMatrix.from_dense(dense)
+        ints[i - 1] |= 1 << (j - 1)
+    return BitMatrix(ints, cols)

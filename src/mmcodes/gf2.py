@@ -14,9 +14,10 @@ for the first row at or below the current rank with that bit set, and one
 list comprehension that XORs the pivot row into every other row holding
 the bit.
 
-numpy appears only at the edges: ``from_dense`` and ``to_dense`` pack and
-unpack 0/1 arrays, and ``transpose`` and ``kernel_basis`` work on the dense
-form.
+numpy touches matrices only here, at the array edge (``from_dense``,
+``to_dense``, 0/1 vectors in ``in_rowspace``) and in ``transpose`` and
+``kernel_basis`` (up to 3.6x and 8x slower on int rows); elsewhere it
+only counts ISD bits and draws random numbers.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ class BitMatrix:
     def col_ints(self) -> list[int]:
         return transpose(self).row_ints()
 
-    def row_weights(self) -> np.ndarray:
-        return np.array([x.bit_count() for x in self.ints], dtype=np.int64)
+    def row_weights(self) -> list[int]:
+        return [x.bit_count() for x in self.ints]
 
     def is_zero(self) -> bool:
         return not any(self.ints)
@@ -189,15 +190,16 @@ def rref(a: BitMatrix) -> RrefCache:
     return a._rref
 
 
-def _eliminate(a: BitMatrix) -> RrefCache:
+def _eliminate(a: BitMatrix, order=None) -> RrefCache:
     """Gauss-Jordan elimination over GF(2) on int rows (see the module
-    docstring).  The reduced form is unique, so the result does not depend
-    on the pivot-row choice."""
+    docstring), pivoting on the columns in ``order`` (default ascending):
+    row for row the RREF of ``a`` with its columns so permuted, left in the
+    original columns.  The reduced form is unique, whatever the pivot rows."""
     rows = a.row_ints()
     m = a.rows
     pivots: list[int] = []
     r = 0
-    for c in range(a.cols):
+    for c in range(a.cols) if order is None else order:
         if r == m:
             break
         bit = 1 << c

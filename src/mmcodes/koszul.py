@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-import numpy as np
-
 from .circulant import poly_to_circulant
 from .gf2 import BitMatrix, DimensionMismatch, mat_mul, transpose
 from .ring import GroupSpec, RingElem
@@ -62,24 +60,25 @@ def symbolic_boundaries(t: int) -> SymbolicBoundary:
 def instantiate(
     sym: SymbolicBoundary, gens: list[RingElem], spec: GroupSpec
 ) -> list[BitMatrix]:
-    """Substitute each generator index with its circulant block.  The blocks
-    need not be checked to commute: in characteristic 2 the block of
-    d_1 d_2 at the pair {i, j} is g_i g_j + g_j g_i, so ``verify_complex``
-    tests it."""
+    """Substitute each generator index with its circulant block, ORing the
+    rows of the block in grid cell (i, j), shifted by j*|G|, into block row
+    i.  Commutation needs no check: in characteristic 2 the d_1 d_2 block at
+    {a, b} is g_a g_b + g_b g_a, which ``verify_complex`` tests."""
     if len(gens) != sym.t:
         raise KoszulError(f"expected {sym.t} generators, got {len(gens)}")
     for g in gens:
         if g.spec != spec:
             raise KoszulError("generator spec mismatch")
-    circs = [poly_to_circulant(g, spec) for g in gens]
+    circs = [poly_to_circulant(g, spec).ints for g in gens]
     n = spec.size
     out = []
     for k in range(1, sym.t + 1):
         br, bc = sym.block_shape(k)
-        dense = np.zeros((br * n, bc * n), dtype=np.uint8)
+        rows = [0] * (br * n)
         for (i, j), s in sym.maps[k - 1].items():
-            dense[i * n : (i + 1) * n, j * n : (j + 1) * n] = circs[s - 1].to_dense()
-        out.append(BitMatrix.from_dense(dense))
+            for r, x in enumerate(circs[s - 1], i * n):
+                rows[r] |= x << (j * n)
+        out.append(BitMatrix(rows, bc * n))
     return out
 
 

@@ -8,8 +8,10 @@ check.
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from mmcodes.gf2 import BitMatrix
+from mmcodes.ring import GroupSpec, RingElem
 
 # Every run draws the same examples, so the suite's outcome and time do not
 # depend on the run; each test's own ``max_examples`` still applies.
@@ -97,6 +99,103 @@ def kron_circulant(orders, monomials) -> np.ndarray:
             m = np.kron(m, shift_matrix(o, e))
         out ^= m
     return out
+
+
+@st.composite
+def spec_and_elems(draw, count: int):
+    """A group of 1-4 cyclic factors (orders of 1 allowed, |G| <= 64) and
+    ``count`` ring elements of 0-5 monomials, exponents drawn past the
+    orders so that they wrap."""
+    orders = []
+    for _ in range(draw(st.integers(1, 4))):
+        orders.append(draw(st.integers(1, min(16, 64 // int(np.prod(orders))))))
+    spec = GroupSpec(tuple(orders))
+    exps = st.tuples(*(st.integers(0, 2 * o) for o in orders))
+    return spec, [RingElem(spec, tuple(draw(st.lists(exps, max_size=5))))
+                  for _ in range(count)]
+
+
+# ---- dense references of the int-row builders and formats --------------
+
+
+def dense_poly_to_circulant(f, spec) -> BitMatrix:
+    """The circulant of ``f`` filled into a dense array column by column:
+    column j holds a one at the index each monomial shifts j to."""
+    n, orders = spec.size, spec.orders
+    dense = np.zeros((n, n), dtype=np.uint8)
+    for j in range(n):
+        idxs = spec.index_to_exponents(j)
+        for mono in f.monomials:
+            row = 0
+            for k in range(spec.dim):
+                row = row * orders[k] + (idxs[k] + mono[k]) % orders[k]
+            dense[row, j] ^= 1
+    return BitMatrix.from_dense(dense)
+
+
+def dense_instantiate(sym, gens, spec) -> list[BitMatrix]:
+    """The Koszul maps with each circulant block copied into a dense
+    array at its grid cell."""
+    circs = [dense_poly_to_circulant(g, spec).to_dense() for g in gens]
+    n = spec.size
+    out = []
+    for k in range(1, sym.t + 1):
+        br, bc = sym.block_shape(k)
+        dense = np.zeros((br * n, bc * n), dtype=np.uint8)
+        for (i, j), s in sym.maps[k - 1].items():
+            dense[i * n : (i + 1) * n, j * n : (j + 1) * n] = circs[s - 1]
+        out.append(BitMatrix.from_dense(dense))
+    return out
+
+
+def dense_write_alist(m: BitMatrix) -> str:
+    """MacKay alist from the dense array's nonzero positions."""
+    dense = m.to_dense()
+    col_lists = [list(np.nonzero(dense[:, j])[0] + 1) for j in range(m.cols)]
+    row_lists = [list(np.nonzero(dense[i, :])[0] + 1) for i in range(m.rows)]
+    col_w = [len(c) for c in col_lists]
+    row_w = [len(r) for r in row_lists]
+    lines = [
+        f"{m.cols} {m.rows}",
+        f"{max(col_w, default=0)} {max(row_w, default=0)}",
+        " ".join(map(str, col_w)),
+        " ".join(map(str, row_w)),
+    ]
+    lines += [" ".join(map(str, c)) for c in col_lists]
+    lines += [" ".join(map(str, r)) for r in row_lists]
+    return "\n".join(lines) + "\n"
+
+
+def dense_read_alist(text: str) -> BitMatrix:
+    """A well-formed alist read into a dense array from its column lists."""
+    lines = text.splitlines()
+    cols, rows = map(int, lines[0].split())
+    dense = np.zeros((rows, cols), dtype=np.uint8)
+    for j in range(cols):
+        for i in (int(v) for v in lines[4 + j].split() if int(v) != 0):
+            dense[i - 1, j] = 1
+    return BitMatrix.from_dense(dense)
+
+
+def dense_write_mtx(m: BitMatrix) -> str:
+    """MatrixMarket coordinates from the dense array's nonzero positions,
+    in row-major order."""
+    rr, cc = np.nonzero(m.to_dense())
+    lines = ["%%MatrixMarket matrix coordinate pattern general",
+             f"{m.rows} {m.cols} {len(rr)}"]
+    lines += [f"{i + 1} {j + 1}" for i, j in zip(rr, cc)]
+    return "\n".join(lines) + "\n"
+
+
+def dense_read_mtx(text: str) -> BitMatrix:
+    """A well-formed MatrixMarket pattern read into a dense array."""
+    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("%")]
+    rows, cols, _ = map(int, lines[0].split())
+    dense = np.zeros((rows, cols), dtype=np.uint8)
+    for ln in lines[1:]:
+        i, j = map(int, ln.split()[:2])
+        dense[i - 1, j - 1] = 1
+    return BitMatrix.from_dense(dense)
 
 
 def reference_translation_roots(code, h, stab) -> range:

@@ -11,7 +11,7 @@ from mmcodes.circulant import (
 from mmcodes.gf2 import BitMatrix, DimensionMismatch, mat_mul
 from mmcodes.ring import GroupSpec, RingElem, SpecMismatch, parse_poly, ring_add, ring_mul
 
-from conftest import kron_circulant, shift_matrix
+from conftest import dense_poly_to_circulant, kron_circulant, shift_matrix, spec_and_elems
 
 
 @st.composite
@@ -27,6 +27,14 @@ def spec_and_polys(draw, count=2):
         )
         out.append(RingElem(spec, monos))
     return spec, out
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=spec_and_elems(1))
+def test_matches_dense_reference(case):
+    """The int-row construction against the dense one; about 0.6 s."""
+    spec, (f,) = case
+    assert poly_to_circulant(f, spec) == dense_poly_to_circulant(f, spec)
 
 
 def test_identity_polynomial():

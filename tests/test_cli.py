@@ -1,10 +1,16 @@
 import argparse
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from mmcodes import codeparams as cp
 from mmcodes import formats
 from mmcodes.cli import (
     EXIT_BUDGET,
@@ -413,6 +419,80 @@ class TestBadInput:
         assert rc == EXIT_BUDGET and out == ""
         assert "4096" in err and "--w-exhaustive" not in err
         assert len(err.splitlines()) == 1
+
+    def test_build_into_a_file_path(self, row1_config, tmp_path, capsys):
+        """An output directory below a regular file used to end in a
+        traceback with exit 1."""
+        (tmp_path / "file").write_text("")
+        err = self.expect_usage_error(
+            ["build", row1_config, "--out", str(tmp_path / "file" / "bundle")], capsys)
+        assert err.startswith("error: cannot write") and "Not a directory" in err
+
+    def test_export_into_a_missing_directory(self, row1_config, tmp_path, capsys):
+        dest = tmp_path / "missing" / "x.alist"
+        err = self.expect_usage_error(
+            ["export", row1_config, "--matrix", "p_x", "--out", str(dest)], capsys)
+        assert err == f"error: cannot write {dest}: No such file or directory\n"
+
+    def test_search_into_a_missing_directory(self, tmp_path, capsys):
+        p = tmp_path / "search.json"
+        p.write_text(json.dumps({"t": 2, "orders": [[4]], "max_candidates": 2}))
+        dest = tmp_path / "missing" / "o.jsonl"
+        err = self.expect_usage_error(["search", str(p), "--out", str(dest)], capsys)
+        assert err == f"error: cannot write {dest}: No such file or directory\n"
+
+
+ROW20 = str(resources.files("mmcodes") / "fixtures" / "table2_row20.json")
+
+
+class TestConfinementTableCap:
+    """Each command that computes a confinement profile refuses a coset
+    table past ``CONFINEMENT_TABLE_CAP`` with exit 3, an error line and a
+    hint naming its confinement weight, before building the table."""
+
+    def expect_table_refused(self, argv, knob, capsys):
+        rc, out = run(argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_BUDGET and out == ""
+        assert err.startswith("error: the confinement table needs ~")
+        assert err.endswith(f"\nhint: lower {knob}\n") and len(err.splitlines()) == 2
+        assert "MMCODES_BUDGET" not in err
+
+    def test_row20_at_w5_exits_3_under_an_address_space_limit(self):
+        """Row 20's table at w=5 holds 4.5e7 entries, about 4-5 GB; it used
+        to end in a MemoryError traceback under a 1.5 GB limit.  About 0.3 s
+        in a fresh process."""
+        limit = 1_500_000 * 1024
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(cp.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmcodes.cli", "confine", ROW20, "--type", "Z",
+             "--w-max", "5"],
+            capture_output=True, text=True, timeout=60, env=env, preexec_fn=cap_memory,
+        )
+        assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
+        assert proc.stderr == ("error: the confinement table needs ~4.54e+07 entries, "
+                               "over the cap 2e+07\nhint: lower --w-max\n")
+
+    def test_params_confinement_w(self, monkeypatch, capsys):
+        monkeypatch.setattr(cp, "CONFINEMENT_TABLE_CAP", 72)
+        self.expect_table_refused(
+            ["params", TT72, "--w-exhaustive", "1", "--confinement-w", "3"],
+            "--confinement-w", capsys)
+
+    def test_search_confinement_w_max(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cp, "CONFINEMENT_TABLE_CAP", 1)
+        p = tmp_path / "search.json"
+        p.write_text(json.dumps({
+            "t": 2, "orders": [[4], [6]], "term_range": [1, 3], "require_k_min": 1,
+            "require_d_min": 2, "distance_budget": [3, 5], "max_candidates": 15,
+            "confinement_w_max": 3, "workers": 1,
+        }))
+        self.expect_table_refused(["search", str(p), "--seed", "3"],
+                                  "confinement_w_max", capsys)
 
 
 # Every subcommand's positionals and option strings.  A new option, or one

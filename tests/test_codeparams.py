@@ -296,14 +296,14 @@ class TestIsdPass:
         best_w = min(cut, n + 1)
         rng_new = np.random.default_rng([seed, 1])
         rng_ref = np.random.default_rng([seed, 1])
-        got = list(cp._isd_pass(gen, rng_new, best_w))
+        got = list(cp._isd_pass(BitMatrix.from_dense(gen), rng_new, best_w))
         assert got == sorted(reference_isd_pass(gen, rng_ref, best_w))
         # one permutation per pass: both streams end in the same state
         assert rng_new.integers(2**62) == rng_ref.integers(2**62)
 
     def test_pair_blocks(self, monkeypatch):
         rng = np.random.default_rng(3)
-        gen = (rng.random((30, 80)) < 0.5).astype(np.uint8)
+        gen = BitMatrix.from_dense(rng.random((30, 80)) < 0.5)
         want = list(cp._isd_pass(gen, np.random.default_rng(9), 81))
         monkeypatch.setattr(cp, "ISD_PAIR_BLOCK_BYTES", 1)
         assert list(cp._isd_pass(gen, np.random.default_rng(9), 81)) == want
@@ -411,11 +411,10 @@ def reference_single_shot(code, check_type, w_max, iterations, seed):
     if bound.upper is not None or gen.rows == 0:
         return bound
     valid = rref(transpose(p))
-    gen_dense = gen.to_dense()
     best_w, best_sup = m.cols + 1, None
     rng = np.random.default_rng([seed, 0])
     for _ in range(iterations):
-        for w, sup in cp._isd_pass(gen_dense, rng, best_w):
+        for w, sup in cp._isd_pass(gen, rng, best_w):
             if w >= best_w:
                 break
             if not in_rowspace(valid, sup):
@@ -717,16 +716,18 @@ class TestTranslationRoots:
 def test_no_matrix_is_reduced_twice(monkeypatch):
     """Search's evaluation of an accepted bench candidate (its distances
     reach the information-set passes) and a full tt72 report eliminate
-    each matrix content once: every later rref, rank or kernel of it, and
-    of its transpose, comes from the matrix's cache.  About 0.1 s."""
+    each matrix content once per pivot order: every later rref, rank or
+    kernel of it, and of its transpose, comes from the matrix's cache, and
+    each information-set pass draws a new order.  About 0.1 s."""
     reduced = []
     eliminate = gf2._eliminate
 
-    def counted(a):
-        reduced.append((a.cols, a.ints))
-        return eliminate(a)
+    def counted(a, order=None):
+        reduced.append((a.cols, a.ints, None if order is None else tuple(order)))
+        return eliminate(a, order)
 
     monkeypatch.setattr(gf2, "_eliminate", counted)
+    monkeypatch.setattr(cp, "_eliminate", counted)
     spec = GroupSpec((2, 2, 2, 3))
     gens = [parse_poly(p, spec) for p in
             ("1+z+x*y+x*y*z", "1+y+w*z+w*y*z", "1+w*z", "1+x*z")]
@@ -746,6 +747,17 @@ class TestConfinement:
     def test_only_error_types_have_a_profile(self, row1, kind):
         with pytest.raises(ValueError):
             cp.confinement_profile(row1, kind, 2)
+
+    @pytest.mark.parametrize("mode", ["exact", "cluster"])
+    def test_table_cap_is_charged_in_both_modes(self, monkeypatch, mode):
+        """tt72's coset table at w=3 holds 1 + 72 entries: refused one past
+        the cap before it is built, and built at the cap.  Under 0.1 s."""
+        tt72 = build_from_config(load_fixture("tt72.json"))
+        monkeypatch.setattr(cp, "CONFINEMENT_TABLE_CAP", 72)
+        with pytest.raises(cp.TableTooLarge, match="needs ~73 entries, over the cap 72"):
+            cp.confinement_profile(tt72, "Z", 3, mode=mode)
+        monkeypatch.setattr(cp, "CONFINEMENT_TABLE_CAP", 73)
+        assert cp.confinement_profile(tt72, "Z", 3, mode=mode, samples=100).mode == mode
 
     def test_row02_reproduces_the_criterion_4_profile(self):
         """The [8,8,8,8] profile that criterion 4 asserts for a weight-2

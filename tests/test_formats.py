@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmcodes.formats import (
     MTX_HEADER,
@@ -11,7 +13,34 @@ from mmcodes.formats import (
 )
 from mmcodes.gf2 import BitMatrix
 
-from conftest import random_bitmatrix
+from conftest import (
+    dense_read_alist,
+    dense_read_mtx,
+    dense_write_alist,
+    dense_write_mtx,
+    random_bitmatrix,
+)
+
+
+@st.composite
+def bitmatrices(draw):
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 70))
+    return BitMatrix(draw(st.lists(st.integers(0, 2**cols - 1), min_size=rows,
+                                   max_size=rows)), cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=bitmatrices())
+@pytest.mark.parametrize("write, read, dense_write, dense_read", [
+    (write_alist, read_alist, dense_write_alist, dense_read_alist),
+    (write_mtx, read_mtx, dense_write_mtx, dense_read_mtx),
+], ids=["alist", "mtx"])
+def test_matches_dense_reference(write, read, dense_write, dense_read, m):
+    """The int-row writers and readers against dense ones, byte for byte;
+    about 0.6 s each."""
+    text = write(m)
+    assert text == dense_write(m)
+    assert read(text) == dense_read(text) == m
 
 
 def test_identity_alist_body():

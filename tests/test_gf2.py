@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmcodes import gf2
 from mmcodes.gf2 import (
     BitMatrix,
     DimensionMismatch,
@@ -206,6 +207,21 @@ class TestRref:
         kb = kernel_basis(BitMatrix.from_dense(m))
         assert kb.shape == (m.shape[1] - r, m.shape[1])
         assert not (m.astype(np.int64) @ kb.to_dense().T % 2).any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=shaped_matrices(), data=st.data())
+    def test_pivot_order_is_a_column_permutation(self, m, data):
+        """Pivoting in ``order`` gives the RREF of the matrix with its
+        columns permuted into ``order``, row for row, in the original
+        columns.  About 0.6 s."""
+        order = data.draw(st.permutations(range(m.shape[1])))
+        reduced, pivots, r = oracle_rref(m[:, order])
+        back = np.zeros_like(reduced)
+        back[:, order] = reduced
+        got = gf2._eliminate(BitMatrix.from_dense(m), order)
+        assert np.array_equal(got.rref.to_dense(), back)
+        assert got.pivot_cols == tuple(order[c] for c in pivots)
+        assert got.rank == r
 
 
 class TestKernel:

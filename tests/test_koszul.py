@@ -17,11 +17,24 @@ from mmcodes.koszul import (
 )
 from mmcodes.ring import GroupSpec, RingElem, parse_poly
 
+from conftest import dense_instantiate, spec_and_elems
+
 
 def make(orders, polys, names=None, q=None):
     spec = GroupSpec(tuple(orders))
     gens = [parse_poly(p, spec, names) for p in polys]
     return build_code(gens, spec, q_override=q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_instantiate_matches_dense_reference(data):
+    """The int-row block assembly against dense block copies, t = 1-5;
+    about 0.6 s."""
+    t = data.draw(st.integers(1, 5))
+    spec, gens = data.draw(spec_and_elems(t))
+    sym = symbolic_boundaries(t)
+    assert instantiate(sym, gens, spec) == dense_instantiate(sym, gens, spec)
 
 
 class TestSymbolic:

@@ -258,6 +258,7 @@ class TestPool:
 
     @pytest.mark.parametrize("exc", [
         cp.BudgetExceeded(10**9, 10**8),
+        cp.TableTooLarge(4 * 10**7, cp.CONFINEMENT_TABLE_CAP),
         SizeBudgetExceeded(5000, 4096),
         ParseError("unexpected token", 3),
         DimensionMismatch("mat_mul", (2, 3), (4, 2)),
