@@ -26,7 +26,6 @@ from .gf2 import BitMatrix, _eliminate, kernel_basis, in_rowspace, rank, rref, t
 from .koszul import MCssCode
 
 DEFAULT_ENUM_BUDGET = 10**9
-DEFAULT_IRREDUCIBILITY_BUDGET = 10**8
 # Entries the coset table of ``confinement_profile`` may hold, in either
 # mode.  A table takes 90-115 bytes per entry, so this is 1.8-2.3 GB.
 CONFINEMENT_TABLE_CAP = 2 * 10**7
@@ -77,7 +76,6 @@ class ConfinementProfile:
     entries: tuple[int | None, ...]
     exact: tuple[bool, ...]
     mode: str
-    fell_back: bool = False
 
     def to_dict(self) -> dict:
         return _plain(self)
@@ -506,7 +504,6 @@ def confinement_profile(
     err_type: str,
     w_max: int,
     mode: str = "exact",
-    budget: int = DEFAULT_IRREDUCIBILITY_BUDGET,
     seed: int = 0,
     samples: int = 20000,
 ) -> ConfinementProfile:
@@ -551,8 +548,6 @@ def confinement_profile(
     gamma, so none of them could lower the profile.  Nor does the visit
     order matter: ``best`` only falls, and a cluster is passed over only
     when its sw is at least ``best`` then, so at least its final value.
-    Exact mode still charges the budget 1 + sum_{j<w_max} C(n, j), the size
-    of the full table, so ``mode`` and ``fell_back`` mean what they did.
     Both modes build ``reachable``, whose 1 + sum_{j<=w_max-2} C(n, j)
     entries past ``CONFINEMENT_TABLE_CAP`` raise ``TableTooLarge``.
 
@@ -579,10 +574,6 @@ def confinement_profile(
     entries = 1 + _enum_cost(n, w_max - 2)
     if entries > CONFINEMENT_TABLE_CAP:
         raise TableTooLarge(entries, CONFINEMENT_TABLE_CAP)
-    fell_back = False
-    # Exact mode pays for the coset-minimality sets, empty support included.
-    if mode == "exact" and 1 + _enum_cost(n, w_max - 1) > budget:
-        mode, fell_back = "cluster", True
 
     h_cols = h.col_ints()
     kb_cols = kernel_basis(stab).col_ints()
@@ -641,10 +632,8 @@ def confinement_profile(
                 word ^= cols[lo]
                 consider(w, word)
 
-    return ConfinementProfile(
-        entries=tuple(_minplus_closure(best[1:])), exact=(mode == "exact",) * w_max,
-        mode=mode, fell_back=fell_back,
-    )
+    return ConfinementProfile(entries=tuple(_minplus_closure(best[1:])),
+                              exact=(mode == "exact",) * w_max, mode=mode)
 
 
 # ---- aggregate report -------------------------------------------------
@@ -709,7 +698,7 @@ def _report(
     confinement profiles up to ``confinement_w`` (none when None), ``d_s``
     and the check weights."""
     conf = {et: None if confinement_w is None else
-            confinement_profile(code, et, confinement_w, seed=seed)
+            confinement_profile(code, et, confinement_w)
             for et in ("X", "Z")}
     return CodeReport(
         name=name, n=code.n, k=k, d_x=d["X"], d_z=d["Z"], d_ss_x=d.get("ssX"),

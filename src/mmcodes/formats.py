@@ -35,28 +35,28 @@ def write_alist(m: BitMatrix) -> str:
 
 
 def read_alist(text: str) -> BitMatrix:
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     if len(lines) < 4:
         raise FormatError("alist: truncated header")
     try:
         cols, rows = map(int, lines[0].split())
-        col_w = list(map(int, lines[2].split()))
-        row_w = list(map(int, lines[3].split()))
+        col_w, row_w = (list(map(int, lines[k].split())) for k in (2, 3))
+        lists = [[i for i in map(int, ln.split()) if i]
+                 for ln in lines[4:4 + cols + rows]]
     except ValueError as exc:
-        raise FormatError(f"alist: bad header: {exc}") from exc
+        raise FormatError(f"alist: bad integer: {exc}") from exc
     if len(col_w) != cols or len(row_w) != rows:
         raise FormatError("alist: weight list lengths do not match header")
-    if len(lines) < 4 + cols + rows:
+    if len(lists) != cols + rows:
         raise FormatError("alist: missing index lists")
     ints = [0] * rows
-    for j in range(cols):
-        idx = [int(v) for v in lines[4 + j].split() if int(v) != 0]
-        if len(idx) != col_w[j]:
-            raise FormatError(f"alist: column {j + 1} weight mismatch")
+    for j, idx in enumerate(lists[:cols]):
+        if len({i for i in idx if 0 < i <= rows}) != len(idx) or len(idx) != col_w[j]:
+            raise FormatError(f"alist: column {j + 1} does not list {col_w[j]} "
+                              f"distinct rows in 1..{rows}")
         for i in idx:
             ints[i - 1] |= 1 << j
-    for i in range(rows):
-        idx = [int(v) for v in lines[4 + cols + i].split() if int(v) != 0]
+    for i, idx in enumerate(lists[cols:]):
         if sorted(idx) != _ones(ints[i]):
             raise FormatError(f"alist: row {i + 1} inconsistent with columns")
     return BitMatrix(ints, cols)
@@ -79,14 +79,18 @@ def read_mtx(text: str) -> BitMatrix:
         raise FormatError("mtx: missing MatrixMarket banner")
     try:
         rows, cols, nnz = map(int, lines[0].split())
+        entries = [(int(i), int(j)) for i, j, *_ in map(str.split, lines[1:])]
     except ValueError as exc:
-        raise FormatError(f"mtx: bad size line: {exc}") from exc
-    if len(lines) - 1 != nnz:
-        raise FormatError(f"mtx: expected {nnz} entries, got {len(lines) - 1}")
+        raise FormatError(f"mtx: bad size line or entry: {exc}") from exc
+    if min(rows, cols) < 0:
+        raise FormatError(f"mtx: negative size {rows}x{cols}")
+    if len(entries) != nnz:
+        raise FormatError(f"mtx: expected {nnz} entries, got {len(entries)}")
     ints = [0] * rows
-    for ln in lines[1:]:
-        i, j = map(int, ln.split()[:2])
+    for i, j in entries:
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise FormatError(f"mtx: entry ({i},{j}) out of range")
+        if ints[i - 1] >> (j - 1) & 1:
+            raise FormatError(f"mtx: entry ({i},{j}) repeated")
         ints[i - 1] |= 1 << (j - 1)
     return BitMatrix(ints, cols)

@@ -939,6 +939,17 @@ class TestConfinement:
         prof = cp.confinement_profile(code, "Z", 4)
         assert prof.entries == want and prof.mode == "exact"
 
+    @pytest.mark.parametrize("et", ["X", "Z"])
+    def test_exact_w4_profile_of_haah1024(self, et):
+        # n = 1024 and w = 4 fit the table cap, so exact mode runs: about
+        # 0.6 s, plus 0.9 s for the cluster profile it must not exceed.
+        code = build_from_config(load_fixture("haah1024.json"))
+        prof = cp.confinement_profile(code, et, 4)
+        assert prof.mode == "exact" and prof.exact == (True,) * 4
+        assert prof.entries == (4, 4, 4, 4)
+        cluster = cp.confinement_profile(code, et, 4, mode="cluster")
+        assert all(e <= c for e, c in zip(prof.entries, cluster.entries))
+
     def test_w1_is_min_column_weight(self, row1):
         prof = cp.confinement_profile(row1, "Z", 1)
         assert prof.entries[0] == int(row1.p_x.to_dense().sum(axis=0).min())
@@ -946,7 +957,7 @@ class TestConfinement:
     def test_row1_low_weights(self, row1):
         prof = cp.confinement_profile(row1, "Z", 2)
         assert prof.entries == (4, 4)
-        assert prof.mode == "exact" and not prof.fell_back
+        assert prof.mode == "exact"
 
     def test_cluster_upper_bounds_exact(self, row1):
         exact = cp.confinement_profile(row1, "Z", 2)
@@ -957,10 +968,6 @@ class TestConfinement:
             if c is not None:
                 assert e <= c
         assert cluster.exact == (False, False)
-
-    def test_budget_fallback_flag(self, row1):
-        prof = cp.confinement_profile(row1, "Z", 3, budget=10, samples=200)
-        assert prof.fell_back and prof.mode == "cluster"
 
     def test_minplus_closure(self):
         assert cp._minplus_closure([2, None, 7]) == [2, 4, 6]

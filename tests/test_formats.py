@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,47 @@ def test_alist_errors():
     lines[4] = "1 2"
     with pytest.raises(FormatError):
         read_alist("\n".join(lines))
+
+
+@pytest.mark.parametrize("text", [
+    "2 2\n1 1\n1 1\n1 1\n3\n2\n1\n2\n",
+    "2 2\n1 1\n1 1\n1 1\nx\n2\n1\n2\n",
+    "2 2\n1 1\n1 1\n1 1\n-1\n2\n1\n2\n",
+    "2 2\n2 1\n2 1\n1 1\n1 1\n2\n1\n2\n",
+], ids=["index-past-rows", "non-integer-index", "negative-index", "repeated-index"])
+def test_alist_rejects_bad_index(text):
+    with pytest.raises(FormatError):
+        read_alist(text)
+
+
+@pytest.mark.parametrize("body", ["2 2 1\n1 y\n", "2 2 1\n1\n", "2 -2 0\n",
+                                  "2 2 2\n1 1\n1 1\n"],
+                         ids=["non-integer", "one-token", "negative-size", "repeated"])
+def test_mtx_rejects_bad_entry(body):
+    with pytest.raises(FormatError):
+        read_mtx(f"{MTX_HEADER}\n{body}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=bitmatrices(), data=st.data())
+@pytest.mark.parametrize("write, read", [
+    (write_alist, read_alist), (write_mtx, read_mtx),
+], ids=["alist", "mtx"])
+def test_single_token_edit(write, read, m, data):
+    """Replacing one token of a written matrix yields a matrix or a
+    ``FormatError``, and for an alist, where every entry is listed twice,
+    the same matrix; about 1 s each."""
+    parts = re.split(r"(\s+)", write(m))
+    at = data.draw(st.sampled_from([i for i, p in enumerate(parts) if p.strip()]))
+    parts[at] = data.draw(st.one_of(st.integers(-3, 80).map(str),
+                                    st.sampled_from(["", "x", "1.5", "-0", "%"])))
+    try:
+        got = read("".join(parts))
+    except FormatError:
+        return
+    assert isinstance(got, BitMatrix)
+    if read is read_alist:
+        assert got == m
 
 
 def test_mtx_header_and_round_trip(rng):

@@ -55,6 +55,14 @@ The three pins of ``confine table2_row09`` (cluster and exact, w=4) and of
 its coset-minimality table up to weight w_max - 1, ran that test before
 the syndrome-weight test, and sampled clusters from a re-sorted frontier
 set.
+
+Ten pins were re-recorded on purpose when confinement lost its second
+budget and ``ConfinementProfile`` its ``fell_back`` field: the seven
+``confine`` pins, ``params table2_row01 ... --confinement-w 4``, ``params
+tt72 ... --confinement-w 3`` and ``test_confinement_search_stream_digest``.
+None of them crossed that budget, so only the ``fell_back`` key leaves
+their profiles.  Each new digest is that of the old output with every
+``fell_back`` key deleted and each line dumped again with sorted keys.
 """
 
 import dataclasses
@@ -143,14 +151,14 @@ CONFINE_SEARCH = dataclasses.replace(
     SEARCH, distance_budget=(3, 10), max_candidates=12, confinement_w_max=3
 )
 CONFINE_SEARCH_SHA256 = (
-    "f1922b0f8a51731b8c7d55c1e05b1158393405772480fdd600e019c5b93623ed"
+    "0c455e79818603e7e1aa1bd77f292145c28c639e5776b41f20271ea16a004dc0"
 )
 
 # CLI argv (fixture name in place of the config path) -> sha256 of stdout.
 CLI_SHA256 = {
     "params tt72 --w-exhaustive 2 --iterations 20 --ss-w 2 --confinement-w 3"
     " --seed 3 --workers 2":
-        "b0e5e58433638a735bd21a07e5f11168be1d6330b9f99e3eb76ea4a4537c9ab1",
+        "549d88afc20123f2eea961ac17ebd06c095487f3c15ccf8edaf27a7d6491acba",
     "params table2_row13 --w-exhaustive 3 --iterations 10 --seed 1":
         "94361ea4d6610c72c565c53659a8e5435f940d0e6119c8fcc63f53e3e768e946",
     "distance table2_row13 --type X --w-exhaustive 3 --iterations 20 --seed 7"
@@ -159,22 +167,22 @@ CLI_SHA256 = {
     "table2 3 9 13 --iterations 20 --seed 1":
         "a4c0c9d064b4e8d3902f25660bca8509895de4948a21b4f0181e318346ffc796",
     "confine table2_row01 --type X --w-max 3":
-        "016777e8b1bef030cfcb680248e075f0f58c7163b41bff48c4e5e19c85161d01",
+        "308eecf6a79c0d96a1ebe36b356905b0d3007d6a695b0c8abd798e2dabc202a3",
     "confine table2_row02 --type Z --w-max 4 --mode cluster --seed 2":
-        "75cdb2a1077841114488bbc13dbe37c1ea4902e57d67615394905b203d112a79",
+        "2fca7d685d3d5db83e664bc3e0d5c0b662f154bc132e277fb5aa5eeb39952523",
     "confine tt72 --type X --w-max 4":
-        "685cd248dbe92a472956fa575c036f2b7e8c6595680952e02bc785a95c8bbfc5",
+        "761a17905c4ed14bae9b17949627309322b5a1851866b58ccd9ff356c7d0c29e",
     "confine lacross98 --type Z --w-max 4":
-        "9cdc45fd7274b095c3fa33f2d4ce09f8368c64b698e81ee51a248e06cdcda3e2",
+        "c6397b927032e431ea2edb7d30b4593850e3344b50d8b2720803d77622f4a83f",
     "params table2_row01 --w-exhaustive 4 --iterations 20 --ss-w 4"
     " --confinement-w 4 --seed 0":
-        "9c65090eec52ff2a6f812a3d259203cda40af0561b117ed0e54a9b49330d68af",
+        "4494532759611a58e192cc1a10a37943b8ede511fa00009aed42d504530768d7",
     "confine table2_row09 --type Z --w-max 4 --mode cluster --seed 0":
-        "6d48726fee02b5fd1bb736f7aa68e713a07649ed8a90829e002418514d52112a",
+        "15b7e12cbb1ebfa32bad3d24e709dd709d7ced9c893783eabdd4e5392f79c58c",
     "confine table2_row09 --type Z --w-max 4":
-        "1f2a6ca485725885206f608867bc24bc53b8463ade8550ce13caf9446f56f6e7",
+        "eef4363a1a4a584c9caf1bf6d4ae7c842045fa067d9aa04824e9e8b489e9413a",
     "confine tt72 --type X --w-max 3 --mode cluster --seed 1":
-        "296e999ef2ccd6f36c9d8b200618e1953095e828367010b39ab41ed4e39a244b",
+        "d344bd1ee4716f8b94d247e53234bf73e9faa680d5b126ece5ce6344270d0582",
     "export tt72 --matrix p_x --format json":
         "e2aea91bcaa84f5ddf6239e2c7b97965574a0d5a024505fdbbdcb090c5fb4a69",
     "export lacross98 --matrix p_x --format json":
