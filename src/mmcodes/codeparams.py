@@ -257,51 +257,27 @@ def distance_exhaustive(
     return _lightest(p, rref(opp), _translation_roots(code, p, opp), w_max, budget)
 
 
-# Byte cap on one block of row-pair XORs in ``_isd_pass``.
-ISD_PAIR_BLOCK_BYTES = 32 * 2**20
-
-
 def _isd_pass(gen: BitMatrix, rng: np.random.Generator, best_w: int):
     """One information-set iteration (Prange): row-reduce with the pivot
     columns in random order (``gf2._eliminate``), and yield the rows and
     row pairs of the result with weight below ``best_w`` as (weight,
     support) pairs, in ascending (weight, support-int) order.
 
-    Weights come from popcounts of the packed words, all pairs at once (in
-    row blocks of at most ``ISD_PAIR_BLOCK_BYTES``).  Supports are built
-    lazily, one weight group at a time, so a caller that stops at the first
-    group it can no longer use never pays for the heavier ones.  Draws
-    exactly one ``rng.permutation(gen.cols)``.
+    The rows of an RREF are nonzero and independent, so no candidate is 0
+    and none repeats.  Each weight group is sorted only when it is reached,
+    so a caller that stops at the first group it can no longer use never
+    pays for the heavier ones.  Draws exactly one
+    ``rng.permutation(gen.cols)``.
     """
-    reduced = _eliminate(gen, rng.permutation(gen.cols).tolist())
-    # The pivot rows and an all-zero row r, so that a single row i is the
-    # "pair" (i, r); as packed words below.
-    r, rows = reduced.rank, reduced.pivot_rows + (0,)
-    nw = (gen.cols + 63) // 64
-    buf = b"".join(x.to_bytes(8 * nw, "little") for x in rows)
-    words = np.frombuffer(buf, dtype="<u8").reshape(r + 1, nw)
-    cand_i, cand_j, cand_w = [], [], []
-
-    def keep(ii: np.ndarray, jj: np.ndarray):
-        w = np.bitwise_count(words[ii] ^ words[jj]).sum(axis=1, dtype=np.int64)
-        sel = (w > 0) & (w < best_w)
-        cand_i.append(ii[sel])
-        cand_j.append(jj[sel])
-        cand_w.append(w[sel])
-
-    keep(np.arange(r), np.full(r, r))
-    block = max(1, ISD_PAIR_BLOCK_BYTES // (8 * nw * max(r, 1)))
-    for lo in range(0, r - 1, block):
-        ii, jj = np.triu_indices(min(block, r - 1 - lo), 1, r - lo)
-        keep(ii + lo, jj + lo)
-    ci, cj, cw = (np.concatenate(c) for c in (cand_i, cand_j, cand_w))
-    if cw.size == 0:
-        return
-    order = np.argsort(cw, kind="stable")
-    cuts = np.flatnonzero(np.diff(cw[order])) + 1
-    for group in np.split(order, cuts):
-        w, pairs = int(cw[group[0]]), zip(ci[group].tolist(), cj[group].tolist())
-        yield from ((w, sup) for sup in sorted(rows[i] ^ rows[j] for i, j in pairs))
+    rows = _eliminate(gen, rng.permutation(gen.cols).tolist()).pivot_rows
+    groups: dict[int, list[int]] = {}
+    for i, a in enumerate(rows):
+        for b in (0, *rows[i + 1:]):
+            x = a ^ b
+            if (w := x.bit_count()) < best_w:
+                groups.setdefault(w, []).append(x)
+    for w in sorted(groups):
+        yield from ((w, sup) for sup in sorted(groups[w]))
 
 
 def _isd(

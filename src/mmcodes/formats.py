@@ -10,6 +10,11 @@ class FormatError(Exception):
     pass
 
 
+# Largest row or column count ``read_mtx`` accepts (the bundled codes have
+# at most 1,024), so a size line alone cannot make it allocate gigabytes.
+MTX_MAX_DIM = 1 << 20
+
+
 def _ones(x: int) -> list[int]:
     """The 1-based positions of the set bits of ``x``, ascending."""
     return [j + 1 for j in range(x.bit_length()) if x >> j & 1]
@@ -40,13 +45,16 @@ def read_alist(text: str) -> BitMatrix:
         raise FormatError("alist: truncated header")
     try:
         cols, rows = map(int, lines[0].split())
-        col_w, row_w = (list(map(int, lines[k].split())) for k in (2, 3))
+        max_w, col_w, row_w = (list(map(int, lines[k].split())) for k in (1, 2, 3))
         lists = [[i for i in map(int, ln.split()) if i]
                  for ln in lines[4:4 + cols + rows]]
     except ValueError as exc:
         raise FormatError(f"alist: bad integer: {exc}") from exc
     if len(col_w) != cols or len(row_w) != rows:
         raise FormatError("alist: weight list lengths do not match header")
+    if max_w != [max(col_w, default=0), max(row_w, default=0)]:
+        raise FormatError(f"alist: line 2 {max_w} is not the largest column "
+                          "and row weights")
     if len(lists) != cols + rows:
         raise FormatError("alist: missing index lists")
     ints = [0] * rows
@@ -57,7 +65,7 @@ def read_alist(text: str) -> BitMatrix:
         for i in idx:
             ints[i - 1] |= 1 << j
     for i, idx in enumerate(lists[cols:]):
-        if sorted(idx) != _ones(ints[i]):
+        if sorted(idx) != _ones(ints[i]) or len(idx) != row_w[i]:
             raise FormatError(f"alist: row {i + 1} inconsistent with columns")
     return BitMatrix(ints, cols)
 
@@ -79,11 +87,11 @@ def read_mtx(text: str) -> BitMatrix:
         raise FormatError("mtx: missing MatrixMarket banner")
     try:
         rows, cols, nnz = map(int, lines[0].split())
+        if not (0 <= rows <= MTX_MAX_DIM and 0 <= cols <= MTX_MAX_DIM):
+            raise FormatError(f"mtx: size {rows}x{cols} outside 0..{MTX_MAX_DIM}")
         entries = [(int(i), int(j)) for i, j, *_ in map(str.split, lines[1:])]
     except ValueError as exc:
         raise FormatError(f"mtx: bad size line or entry: {exc}") from exc
-    if min(rows, cols) < 0:
-        raise FormatError(f"mtx: negative size {rows}x{cols}")
     if len(entries) != nnz:
         raise FormatError(f"mtx: expected {nnz} entries, got {len(entries)}")
     ints = [0] * rows

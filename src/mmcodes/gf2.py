@@ -15,9 +15,8 @@ list comprehension that XORs the pivot row into every other row holding
 the bit.
 
 numpy touches matrices only here, at the array edge (``from_dense``,
-``to_dense``, 0/1 vectors in ``in_rowspace``) and in ``transpose`` and
-``kernel_basis`` (up to 3.6x and 8x slower on int rows); elsewhere it
-only counts ISD bits and draws random numbers.
+``to_dense``) and in ``transpose`` and ``kernel_basis`` (up to 3.6x and 8x
+slower on int rows); elsewhere it only draws random numbers.
 """
 
 from __future__ import annotations
@@ -232,28 +231,15 @@ def kernel_basis(a: BitMatrix) -> BitMatrix:
     return BitMatrix.from_dense(basis)
 
 
-def in_rowspace(cache: RrefCache, v) -> bool:
-    """True iff ``v`` is a GF(2) combination of the cached rows.
-
-    ``v`` may be a Python-int bitset or any 0/1 sequence of length cols.
-    """
-    if isinstance(v, int):
-        x = v
-        if x.bit_length() > cache.rref.cols:
-            raise DimensionMismatch(
-                "in_rowspace", (cache.rref.cols,), (x.bit_length(),)
-            )
-    else:
-        vv = np.asarray(v, dtype=np.uint8) % 2
-        if vv.shape != (cache.rref.cols,):
-            raise DimensionMismatch("in_rowspace", (cache.rref.cols,), vv.shape)
-        x = int.from_bytes(
-            np.packbits(vv, bitorder="little").tobytes(), "little"
-        )
+def in_rowspace(cache: RrefCache, v: int) -> bool:
+    """True iff the int bitset ``v`` (bit j = column j) is a GF(2)
+    combination of the cached rows."""
+    if v.bit_length() > cache.rref.cols:
+        raise DimensionMismatch("in_rowspace", (cache.rref.cols,), (v.bit_length(),))
     for c, row in zip(cache.pivot_cols, cache.pivot_rows):
-        if (x >> c) & 1:
-            x ^= row
-    return x == 0
+        if (v >> c) & 1:
+            v ^= row
+    return v == 0
 
 
 def vstack(mats: list[BitMatrix]) -> BitMatrix:

@@ -75,6 +75,11 @@ def oracle_in_rowspace(dense: np.ndarray, v: np.ndarray) -> bool:
     return oracle_rank(stacked) == oracle_rank(dense)
 
 
+def to_int(v) -> int:
+    """A 0/1 vector as the int bitset ``in_rowspace`` takes (bit j = v[j])."""
+    return BitMatrix.from_dense([v]).ints[0]
+
+
 def random_dense(rng: np.random.Generator, rows: int, cols: int, p=0.4):
     return (rng.random((rows, cols)) < p).astype(np.uint8)
 

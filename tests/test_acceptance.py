@@ -20,7 +20,9 @@ from mmcodes.gf2 import (
 from mmcodes.koszul import build_code, chain_dims, verify_complex
 from mmcodes.ring import GroupSpec, RingElem, parse_poly, ring_add, ring_mul
 
-from conftest import oracle_in_rowspace, oracle_rank, random_bitmatrix, random_dense
+from conftest import (
+    oracle_in_rowspace, oracle_rank, random_bitmatrix, random_dense, to_int,
+)
 
 
 def make(orders, polys, names=None):
@@ -191,7 +193,7 @@ def test_criterion_6_property_suites():
         if kb.rows:
             assert mat_mul(bm, transpose(kb)).is_zero()
         v = random_dense(rng, 1, c)[0]
-        assert in_rowspace(rref(bm), v) == oracle_in_rowspace(dense, v)
+        assert in_rowspace(rref(bm), to_int(v)) == oracle_in_rowspace(dense, v)
 
     # 100 random matrices: alist and mtx round-trips
     for _ in range(100):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from mmcodes.formats import (
     MTX_HEADER,
+    MTX_MAX_DIM,
     FormatError,
     read_alist,
     read_mtx,
@@ -77,7 +79,11 @@ def test_alist_errors():
     "2 2\n1 1\n1 1\n1 1\nx\n2\n1\n2\n",
     "2 2\n1 1\n1 1\n1 1\n-1\n2\n1\n2\n",
     "2 2\n2 1\n2 1\n1 1\n1 1\n2\n1\n2\n",
-], ids=["index-past-rows", "non-integer-index", "negative-index", "repeated-index"])
+    "2 2\n9 9\n1 1\n1 7\n1\n2\n1\n2\n",
+    "2 2\n9 9\n1 1\n1 1\n1\n2\n1\n2\n",
+    "2 2\n1 1\n1 1\n1 7\n1\n2\n1\n2\n",
+], ids=["index-past-rows", "non-integer-index", "negative-index", "repeated-index",
+        "false-weights", "false-max-weights", "false-row-weight"])
 def test_alist_rejects_bad_index(text):
     with pytest.raises(FormatError):
         read_alist(text)
@@ -111,6 +117,19 @@ def test_single_token_edit(write, read, m, data):
     assert isinstance(got, BitMatrix)
     if read is read_alist:
         assert got == m
+
+
+@pytest.mark.parametrize("size", ["100000000000 1 0", f"{MTX_MAX_DIM + 1} 1 0",
+                                  f"1 {MTX_MAX_DIM + 1} 0"])
+def test_mtx_rejects_oversized_size_before_allocating(size):
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError):
+            read_mtx(f"{MTX_HEADER}\n{size}\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_mtx_header_and_round_trip(rng):

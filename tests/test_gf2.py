@@ -25,6 +25,7 @@ from conftest import (
     oracle_rank,
     oracle_rref,
     random_dense,
+    to_int,
 )
 
 
@@ -264,23 +265,21 @@ class TestKernel:
 class TestInRowspace:
     def test_zero_vector(self, rng):
         cache = rref(BitMatrix.from_dense(random_dense(rng, 4, 9)))
-        assert in_rowspace(cache, [0] * 9)
+        assert in_rowspace(cache, to_int([0] * 9))
         assert in_rowspace(cache, 0)
 
     def test_own_rows(self, rng):
         d = random_dense(rng, 6, 15)
         cache = rref(BitMatrix.from_dense(d))
         for row in d:
-            assert in_rowspace(cache, row)
+            assert in_rowspace(cache, to_int(row))
 
     def test_outside(self):
         cache = rref(BitMatrix.from_dense([[1, 1, 0]]))
-        assert not in_rowspace(cache, [0, 1, 1])
+        assert not in_rowspace(cache, to_int([0, 1, 1]))
 
     def test_length_mismatch(self):
         cache = rref(BitMatrix.identity(3))
-        with pytest.raises(DimensionMismatch):
-            in_rowspace(cache, [1, 0])
         with pytest.raises(DimensionMismatch):
             in_rowspace(cache, 1 << 10)
 
@@ -289,7 +288,7 @@ class TestInRowspace:
     def test_matches_rank_oracle(self, m, seed):
         v = random_dense(np.random.default_rng(seed), 1, m.shape[1])[0]
         cache = rref(BitMatrix.from_dense(m))
-        assert in_rowspace(cache, v) == oracle_in_rowspace(m, v)
+        assert in_rowspace(cache, to_int(v)) == oracle_in_rowspace(m, v)
 
 
 class TestTranspose:

@@ -1,5 +1,6 @@
 """Only ``gf2`` moves matrices between int rows and dense arrays: every
-other module builds and transforms them as int rows.  Under 0.1 s."""
+other module builds, transforms and scores them as int rows, and uses
+numpy only to draw random numbers.  Under 0.1 s."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,8 @@ import mmcodes
 
 SRC = Path(mmcodes.__file__).parent
 DENSE_EDGE = {"from_dense", "to_dense"}
+# ``np.random...`` and the dtype ``_bounded_draws`` draws its words in.
+NUMPY_OUTSIDE_GF2 = {"random", "uint32"}
 
 
 def dense_edge_uses(path: Path) -> list[str]:
@@ -25,6 +28,24 @@ def dense_edge_uses(path: Path) -> list[str]:
     return out
 
 
+def numpy_uses(path: Path) -> list[tuple[str, int]]:
+    """(attribute, line) for each attribute read off numpy in the module,
+    and ("import", line) for each ``from numpy import``."""
+    tree = ast.parse(path.read_text())
+    aliases = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names
+               if a.name == "numpy"}
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            out.append((node.attr, node.lineno))
+        elif (isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("numpy")):
+            out.append(("import", node.lineno))
+    return out
+
+
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "gf2.py")
 
 
@@ -36,3 +57,13 @@ def test_only_gf2_touches_dense_arrays(path):
 def test_the_walk_sees_gf2s_own_uses():
     uses = dense_edge_uses(SRC / "gf2.py")
     assert {u.split(":")[0] for u in uses} == DENSE_EDGE
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_numpy_only_draws_random_numbers_outside_gf2(path):
+    assert [u for u in numpy_uses(path) if u[0] not in NUMPY_OUTSIDE_GF2] == []
+
+
+def test_the_numpy_walk_sees_gf2s_own_uses():
+    uses = {attr for attr, _ in numpy_uses(SRC / "gf2.py")}
+    assert {"packbits", "unpackbits", "setdiff1d"} <= uses
