@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -58,15 +59,21 @@ class BuildConfig:
     published: dict | None = None
 
 
-def load_config(path: str) -> BuildConfig:
+def _read_json(path: str, what: str):
+    """The JSON document in ``path``; ConfigError if ``open`` refuses the
+    path (a NUL byte is a ValueError) or ``json`` cannot decode the text."""
     try:
         with open(path) as f:
-            doc = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(doc, default_name=Path(path).stem)
+            try:
+                return json.load(f)
+            except (ValueError, RecursionError) as exc:
+                raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_config(path: str) -> BuildConfig:
+    return config_from_dict(_read_json(path, "config"), default_name=Path(path).stem)
 
 
 # JSON code-config field -> whether a value has the field's type and shape
@@ -123,17 +130,9 @@ def enum_budget() -> int:
     return budget
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _matrices(code: MCssCode) -> dict:
-    out = {"p_x": code.p_x, "p_z": code.p_z}
-    if code.m_x is not None:
-        out["m_x"] = code.m_x
-    if code.m_z is not None:
-        out["m_z"] = code.m_z
-    return out
+    mats = {"p_x": code.p_x, "p_z": code.p_z, "m_x": code.m_x, "m_z": code.m_z}
+    return {key: m for key, m in mats.items() if m is not None}
 
 
 def manifest(code: MCssCode, cfg: BuildConfig) -> dict:
@@ -154,17 +153,29 @@ def manifest(code: MCssCode, cfg: BuildConfig) -> dict:
             "mx_px_zero": code.m_x is not None or None,
             "mz_pz_zero": code.m_z is not None or None,
         },
-        "hashes": {k: _sha256(m.tobytes()) for k, m in mats.items()},
+        "hashes": {k: hashlib.sha256(m.tobytes()).hexdigest() for k, m in mats.items()},
     }
+
+
+def _manifest_text(man: dict) -> str:
+    return json.dumps(man, sort_keys=True, indent=2) + "\n"
+
+
+# A matrix's text per ``--format``; ``export --format json`` writes the manifest.
+_WRITERS = {"alist": formats.write_alist, "mtx": formats.write_mtx}
 
 
 def _emit(doc: dict, out):
     out.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _unwritable(exc: OSError) -> ConfigError:
+@contextmanager
+def _writing():
     """An output path that cannot be written, as a usage error."""
-    return ConfigError(f"cannot write {exc.filename}: {exc.strerror}")
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror}") from exc
 
 
 # ---- subcommands ------------------------------------------------------
@@ -173,18 +184,12 @@ def _unwritable(exc: OSError) -> ConfigError:
 def cmd_build(args, out) -> int:
     cfg, code = _load_code(args.config)
     outdir = Path(args.out)
-    writer = formats.write_alist if args.format == "alist" else formats.write_mtx
-    ext = args.format
     man = manifest(code, cfg)
-    try:
+    with _writing():
         outdir.mkdir(parents=True, exist_ok=True)
         for key, m in _matrices(code).items():
-            (outdir / f"{key}.{ext}").write_text(writer(m))
-        (outdir / "manifest.json").write_text(
-            json.dumps(man, sort_keys=True, indent=2) + "\n"
-        )
-    except OSError as exc:
-        raise _unwritable(exc) from exc
+            (outdir / f"{key}.{args.format}").write_text(_WRITERS[args.format](m))
+        (outdir / "manifest.json").write_text(_manifest_text(man))
     _emit(man, out)
     return EXIT_OK
 
@@ -252,18 +257,12 @@ def cmd_confine(args, out) -> int:
 
 
 def cmd_search(args, out) -> int:
-    try:
-        with open(args.config) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read search config: {exc}") from exc
     flags = {k: v for k in ("seed", "workers") if (v := getattr(args, k)) is not None}
-    config = replace(SearchConfig.from_dict(doc), **flags)
+    config = replace(SearchConfig.from_dict(_read_json(args.config, "search config")),
+                     **flags)
     if args.out:
-        try:
+        with _writing():
             sink = open(args.out, "w")
-        except OSError as exc:
-            raise _unwritable(exc) from exc
         with sink:
             accepted = run_search(config, sink)
     else:
@@ -279,18 +278,11 @@ def cmd_export(args, out) -> int:
         raise ConfigError(
             f"matrix {args.matrix} not present (have {sorted(mats)})"
         )
-    m = mats[args.matrix]
-    if args.format == "alist":
-        text = formats.write_alist(m)
-    elif args.format == "mtx":
-        text = formats.write_mtx(m)
-    else:
-        text = json.dumps(manifest(code, cfg), sort_keys=True, indent=2) + "\n"
+    text = (_WRITERS[args.format](mats[args.matrix]) if args.format in _WRITERS
+            else _manifest_text(manifest(code, cfg)))
     if args.out:
-        try:
+        with _writing():
             Path(args.out).write_text(text)
-        except OSError as exc:
-            raise _unwritable(exc) from exc
     else:
         out.write(text)
     return EXIT_OK
@@ -433,18 +425,19 @@ def make_parser() -> argparse.ArgumentParser:
             "passes run sequentially",
         )
 
-    b = sub.add_parser("build", help="write check matrices and a manifest")
-    b.add_argument("config")
+    def command(name, func, help_text, **defaults):
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("config")
+        sp.set_defaults(func=func, **defaults)
+        return sp
+
+    b = command("build", cmd_build, "write check matrices and a manifest")
     b.add_argument("--out", required=True)
     b.add_argument("--format", choices=["alist", "mtx"], default="alist")
-    b.set_defaults(func=cmd_build)
 
-    v = sub.add_parser("verify", help="check chain and orthogonality conditions")
-    v.add_argument("config")
-    v.set_defaults(func=cmd_verify)
+    command("verify", cmd_verify, "check chain and orthogonality conditions")
 
-    pa = sub.add_parser("params", help="full parameter report as JSON")
-    pa.add_argument("config")
+    pa = command("params", cmd_params, "full parameter report as JSON")
     pa.add_argument(
         "--w-exhaustive", type=positive_int, default=4, dest="w_exhaustive"
     )
@@ -454,31 +447,24 @@ def make_parser() -> argparse.ArgumentParser:
     )
     pa.add_argument("--ss-w", type=positive_int, default=None, dest="ss_w")
     common(pa)
-    pa.set_defaults(func=cmd_params)
 
-    for command, prefix, help_text in (
+    for name, prefix, help_text in (
         ("distance", "", "distance bounds for one error type"),
         ("ssdist", "ss", "single-shot distance bounds"),
     ):
-        d = sub.add_parser(command, help=help_text)
-        d.add_argument("config")
+        d = command(name, cmd_distance, help_text, kind_prefix=prefix)
         d.add_argument("--type", choices=["X", "Z"], required=True)
-        d.add_argument(_WEIGHT_FLAG[command], type=positive_int, default=4,
-                       dest="w_max")
+        d.add_argument(_WEIGHT_FLAG[name], type=positive_int, default=4, dest="w_max")
         d.add_argument("--iterations", type=nonnegative_int, default=0)
         common(d)
-        d.set_defaults(func=cmd_distance, kind_prefix=prefix)
 
-    c = sub.add_parser("confine", help="confinement profile")
-    c.add_argument("config")
+    c = command("confine", cmd_confine, "confinement profile")
     c.add_argument("--type", choices=["X", "Z"], required=True)
     c.add_argument("--w-max", type=positive_int, default=4, dest="w_max")
     c.add_argument("--mode", choices=["exact", "cluster"], default="exact")
     c.add_argument("--seed", type=nonnegative_int, default=0)
-    c.set_defaults(func=cmd_confine)
 
-    se = sub.add_parser("search", help="randomized generator search")
-    se.add_argument("config")
+    se = command("search", cmd_search, "randomized generator search")
     se.add_argument("--out", default=None)
     se.add_argument("--seed", type=nonnegative_int, default=None)
     se.add_argument(
@@ -487,14 +473,11 @@ def make_parser() -> argparse.ArgumentParser:
         "the config's); candidates are evaluated on up to this many "
         "processes, capped at the usable CPUs, with the same output",
     )
-    se.set_defaults(func=cmd_search)
 
-    e = sub.add_parser("export", help="export one matrix")
-    e.add_argument("config")
+    e = command("export", cmd_export, "export one matrix")
     e.add_argument("--matrix", choices=["p_x", "p_z", "m_x", "m_z"], required=True)
     e.add_argument("--format", choices=["alist", "mtx", "json"], default="alist")
     e.add_argument("--out", default=None)
-    e.set_defaults(func=cmd_export)
 
     t = sub.add_parser("table2", help="recompute bundled instance rows")
     t.add_argument(
@@ -531,7 +514,7 @@ def main(argv=None, out=None) -> int:
             lower = f"lower {flag} or " if flag else ""
             sys.stderr.write(f"hint: {lower}raise MMCODES_BUDGET\n")
         return EXIT_BUDGET
-    except (KoszulError, GF2Error, formats.FormatError, cp.MetacheckAbsent) as exc:
+    except (KoszulError, GF2Error, formats.FormatError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VERIFY
 

@@ -229,22 +229,6 @@ def _shift_invariant(orders, h: BitMatrix, stab: BitMatrix) -> bool:
     return True
 
 
-def _lightest(h: BitMatrix, trivial, roots, w_max: int, budget: int) -> DistanceBound:
-    """The lightest v != 0 with h v^T = 0 and |v| <= w_max outside the row
-    space cached by ``trivial``, the first in lexicographic support order
-    among equal weights; its lower bound is certified, found or not.  With
-    ``roots`` from ``_translation_roots``, that v's least column is a root:
-    else its translate to the block origin, also a logical, would precede it."""
-    if w_max < 1:
-        raise ValueError("w_max must be >= 1")
-    kv = low_weight_kernel_vectors(h, w_max, roots, budget)
-    for w in range(1, w_max + 1):
-        for v in kv.get(w, []):
-            if not in_rowspace(trivial, v):
-                return DistanceBound(lower=w, upper=w, witness=_support_key(v))
-    return DistanceBound(lower=w_max + 1, upper=None, witness=None)
-
-
 def distance_exhaustive(
     code: MCssCode,
     kind: str,
@@ -252,16 +236,32 @@ def distance_exhaustive(
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> DistanceBound:
     """Certified search over all errors (or, for the single-shot kinds,
-    syndromes) of weight <= w_max; ``kind`` as in ``_select_check_pair``."""
-    p, opp = _select_check_pair(code, kind)
-    return _lightest(p, rref(opp), _translation_roots(code, p, opp), w_max, budget)
+    syndromes) of weight <= w_max: of the pair (h, stab) of ``kind`` (see
+    ``_select_check_pair``), the lightest v != 0 with h v^T = 0 outside the
+    row space of stab, the first in lexicographic support order among equal
+    weights; its lower bound is certified, found or not.  Rooted at
+    ``_translation_roots``: that v's least column is a root, else its
+    translate to the block origin, also a logical, would precede it."""
+    h, stab = _select_check_pair(code, kind)
+    if w_max < 1:
+        raise ValueError("w_max must be >= 1")
+    kv = low_weight_kernel_vectors(h, w_max, _translation_roots(code, h, stab), budget)
+    trivial = rref(stab)
+    for w in range(1, w_max + 1):
+        for v in kv.get(w, []):
+            if not in_rowspace(trivial, v):
+                return DistanceBound(lower=w, upper=w, witness=_support_key(v))
+    return DistanceBound(lower=w_max + 1, upper=None, witness=None)
 
 
-def _isd_pass(gen: BitMatrix, rng: np.random.Generator, best_w: int):
+def _isd_pass(gen: BitMatrix, rng: np.random.Generator, best_w: int, trivial):
     """One information-set iteration (Prange): row-reduce with the pivot
     columns in random order (``gf2._eliminate``), and yield the rows and
     row pairs of the result with weight below ``best_w`` as (weight,
-    support) pairs, in ascending (weight, support-int) order.
+    support) pairs, in ascending (weight, support-int) order.  An unbounded
+    ``best_w`` (past the column count) falls to one more than the lightest
+    row outside the row space cached by ``trivial``: a caller after the
+    lightest candidate outside it never reads past that row.
 
     The rows of an RREF are nonzero and independent, so no candidate is 0
     and none repeats.  Each weight group is sorted only when it is reached,
@@ -270,6 +270,9 @@ def _isd_pass(gen: BitMatrix, rng: np.random.Generator, best_w: int):
     ``rng.permutation(gen.cols)``.
     """
     rows = _eliminate(gen, rng.permutation(gen.cols).tolist()).pivot_rows
+    if best_w > gen.cols:
+        best_w = next((a.bit_count() + 1 for a in sorted(rows, key=int.bit_count)
+                       if not in_rowspace(trivial, a)), best_w)
     groups: dict[int, list[int]] = {}
     for i, a in enumerate(rows):
         for b in (0, *rows[i + 1:]):
@@ -280,14 +283,28 @@ def _isd_pass(gen: BitMatrix, rng: np.random.Generator, best_w: int):
         yield from ((w, sup) for sup in sorted(groups[w]))
 
 
-def _isd(
-    h: BitMatrix, trivial, iterations: int, seed: int, workers: int = 1,
+def distance_randomized(
+    code: MCssCode,
+    kind: str,
+    iterations: int,
+    seed: int,
+    workers: int = 1,
     stop_at: int | None = None,
 ) -> DistanceBound:
-    """Upper bound on the lightest v != 0 in ker h outside the row space
-    cached by ``trivial``, from information-set passes over the kernel
-    generators (see ``distance_randomized``).  Among hits of the lightest
-    weight, the witness is the first in lexicographic support order."""
+    """Randomized upper bound on the lightest v != 0 in ker h outside the
+    row space of stab, (h, stab) the pair of ``kind`` (see
+    ``_select_check_pair``), via information-set sampling: random column
+    permutation, row reduction of the kernel generators, then single rows
+    and row pairs as codeword candidates.  The passes stop at a hit of
+    weight <= ``stop_at``.  Among hits of the lightest weight, the witness
+    is the first in lexicographic support order.  Deterministic given
+    (seed, workers).
+
+    ``workers`` only splits the randomness: pass ``it`` draws from stream
+    ``it mod workers``, seeded by (seed, stream).  Nothing runs
+    concurrently; the passes run one after another in this process.
+    """
+    h, stab = _select_check_pair(code, kind)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if workers < 1:
@@ -295,7 +312,7 @@ def _isd(
     gen = kernel_basis(h)
     if gen.rows == 0:
         return DistanceBound(lower=1, upper=None, witness=None)
-    best_w = h.cols + 1
+    best_w, trivial = h.cols + 1, rref(stab)
     best_sup: int | None = None
     streams = [np.random.default_rng([seed, w]) for w in range(workers)]
     done = False
@@ -303,7 +320,7 @@ def _isd(
         if done:
             break
         rng = streams[it % workers]
-        for w, sup in _isd_pass(gen, rng, best_w):
+        for w, sup in _isd_pass(gen, rng, best_w, trivial):
             if w > best_w:
                 break
             if w < best_w or (w == best_w and best_sup is not None
@@ -316,27 +333,6 @@ def _isd(
     if best_sup is None:
         return DistanceBound(lower=1, upper=None, witness=None)
     return DistanceBound(lower=1, upper=best_w, witness=_support_key(best_sup))
-
-
-def distance_randomized(
-    code: MCssCode,
-    kind: str,
-    iterations: int,
-    seed: int,
-    workers: int = 1,
-    stop_at: int | None = None,
-) -> DistanceBound:
-    """Randomized upper bound via information-set sampling: random column
-    permutation, row reduction of the kernel generators, then single rows
-    and row pairs as codeword candidates.  Deterministic given
-    (seed, workers).
-
-    ``workers`` only splits the randomness: pass ``it`` draws from stream
-    ``it mod workers``, seeded by (seed, stream).  Nothing runs
-    concurrently; the passes run one after another in this process.
-    """
-    p, opp = _select_check_pair(code, kind)
-    return _isd(p, rref(opp), iterations, seed, workers, stop_at)
 
 
 def _escalate(

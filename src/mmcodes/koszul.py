@@ -13,13 +13,25 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .circulant import poly_to_circulant
+from .circulant import DEFAULT_SIZE_BUDGET, SizeBudgetExceeded, poly_to_circulant
 from .gf2 import BitMatrix, DimensionMismatch, mat_mul, transpose
 from .ring import GroupSpec, RingElem
 
 
+# Cap on 2^t * |G|, the sum of ``chain_dims``; the bundled codes reach 2,048.
+CHAIN_DIM_CAP = 2**16
+
+
 class KoszulError(Exception):
     pass
+
+
+class ChainTooLarge(SizeBudgetExceeded):
+    """The chain complex would pass ``CHAIN_DIM_CAP``."""
+
+    def __str__(self):
+        return (f"the chain complex has {self.n} basis elements, "
+                f"over the cap {self.budget}")
 
 
 @dataclass(frozen=True)
@@ -162,6 +174,10 @@ def build_code(
     """Full pipeline: symbolic maps, circulant instantiation, chain-condition
     check, mCSS extraction.  Returns the code and the instantiated maps."""
     t = len(gens)
+    if spec.size > DEFAULT_SIZE_BUDGET:  # the group is refused before its chain
+        raise SizeBudgetExceeded(spec.size, DEFAULT_SIZE_BUDGET)
+    if (dim := spec.size << t) > CHAIN_DIM_CAP:
+        raise ChainTooLarge(dim, CHAIN_DIM_CAP)
     sym = symbolic_boundaries(t)
     maps = instantiate(sym, gens, spec)
     if not verify_complex(maps):

@@ -200,11 +200,15 @@ class _Parser:
 
     def take_uint(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's limit on int() digits
+            raise ParseError(f"integer of {self.pos - start} digits is too long",
+                             start) from None
 
     def parse(self) -> RingElem:
         e = self.expr()

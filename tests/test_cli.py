@@ -420,6 +420,66 @@ class TestBadInput:
         assert "4096" in err and "--w-exhaustive" not in err
         assert len(err.splitlines()) == 1
 
+    def test_group_size_budget_before_the_chain_cap(self, tmp_path, capsys):
+        """At t = 4 the chain, 2^4 * 8193 basis elements, is past its cap
+        too; the group size is still the refusal named."""
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(dict(ROW1, t=4, orders=[8193], generators=["1+x"] * 4)))
+        rc, out = run(["verify", str(p)])
+        assert rc == EXIT_BUDGET and out == ""
+        assert capsys.readouterr().err == (
+            "error: group size 8193 exceeds the size budget 4096\n")
+
+    def test_chain_size_budget_under_an_address_space_limit(self, tmp_path):
+        """t = 26 generators used to list all 2^26 subsets and end in a
+        MemoryError traceback under a 1 GB limit.  The refusal names the
+        chain size and the cap, with no flag hint; about 0.4 s in a fresh
+        process."""
+        p = tmp_path / "t26.json"
+        p.write_text(json.dumps({"t": 26, "orders": [2], "generators": ["1+x"] * 26}))
+        proc = run_under_memory_limit(["verify", str(p)], 1_000_000 * 1024)
+        assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
+        assert proc.stderr == ("error: the chain complex has 134217728 basis "
+                               "elements, over the cap 65536\n")
+
+    @pytest.mark.parametrize("generator", ["1+x^" + "9" * 5000, "x" + "1" * 5000])
+    def test_overlong_number_in_a_generator(self, generator, tmp_path, capsys):
+        """Past int()'s digit limit a number used to end in a traceback."""
+        p = tmp_path / "long.json"
+        p.write_text(json.dumps(dict(ROW1, generators=[generator] * 4)))
+        err = self.expect_usage_error(["verify", str(p)], capsys)
+        assert err.startswith("error: integer of 5000 digits is too long (at offset")
+
+    def test_overlong_number_in_a_search_template(self, tmp_path, capsys):
+        p = tmp_path / "search.json"
+        p.write_text(json.dumps({"t": 2, "orders": [[4]], "max_candidates": 2,
+                                 "structured_families": ["1+v_a^" + "9" * 5000]}))
+        err = self.expect_usage_error(["search", str(p)], capsys)
+        assert err == "error: integer of 5000 digits is too long (at offset 4)\n"
+
+    @pytest.mark.parametrize("command, what", [("verify", "config"),
+                                               ("search", "search config")])
+    @pytest.mark.parametrize("text", [b'{"t": ' + b"1" * 5000 + b"}", b"\xff",
+                                      b"[" * 100_000])
+    def test_config_json_cannot_decode(self, command, what, text, tmp_path, capsys):
+        """A number past int()'s digit limit, text that is not UTF-8, or
+        nesting past the recursion limit used to end in a traceback."""
+        p = tmp_path / "bad.json"
+        p.write_bytes(text)
+        err = self.expect_usage_error([command, str(p)], capsys)
+        assert err.startswith(f"error: {what} {p} is not valid JSON: ")
+
+    @pytest.mark.parametrize("command, what", [("verify", "config"),
+                                               ("search", "search config")])
+    def test_config_path_open_refuses(self, command, what, capsys):
+        """``open`` refuses a NUL byte with a ValueError, not an OSError."""
+        err = self.expect_usage_error([command, "a\0b.json"], capsys)
+        assert err == f"error: cannot read {what} a\0b.json: embedded null byte\n"
+
+    def test_unreadable_search_config(self, capsys):
+        err = self.expect_usage_error(["search", "/nonexistent/s.json"], capsys)
+        assert err.startswith("error: cannot read search config /nonexistent/s.json: ")
+
     def test_build_into_a_file_path(self, row1_config, tmp_path, capsys):
         """An output directory below a regular file used to end in a
         traceback with exit 1."""
@@ -445,6 +505,19 @@ class TestBadInput:
 ROW20 = str(resources.files("mmcodes") / "fixtures" / "table2_row20.json")
 
 
+def run_under_memory_limit(argv, limit):
+    """``mmcodes argv`` in a fresh process with an address space of at most
+    ``limit`` bytes."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cp.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "mmcodes.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env,
+                          preexec_fn=cap_memory)
+
+
 class TestConfinementTableCap:
     """Each command that computes a confinement profile refuses a coset
     table past ``CONFINEMENT_TABLE_CAP`` with exit 3, an error line and a
@@ -462,17 +535,8 @@ class TestConfinementTableCap:
         """Row 20's table at w=5 holds 4.5e7 entries, about 4-5 GB; it used
         to end in a MemoryError traceback under a 1.5 GB limit.  About 0.3 s
         in a fresh process."""
-        limit = 1_500_000 * 1024
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        env = dict(os.environ, PYTHONPATH=str(Path(cp.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mmcodes.cli", "confine", ROW20, "--type", "Z",
-             "--w-max", "5"],
-            capture_output=True, text=True, timeout=60, env=env, preexec_fn=cap_memory,
-        )
+        proc = run_under_memory_limit(
+            ["confine", ROW20, "--type", "Z", "--w-max", "5"], 1_500_000 * 1024)
         assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
         assert proc.stderr == ("error: the confinement table needs ~4.54e+07 entries, "
                                "over the cap 2e+07\nhint: lower --w-max\n")

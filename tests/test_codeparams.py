@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mmcodes import codeparams as cp
@@ -288,16 +288,37 @@ class TestIsdPass:
         k=st.integers(0, 24),
         n=st.sampled_from([1, 9, 64, 65, 100]),
         density=st.sampled_from([0.1, 0.5]),
-        cut=st.integers(1, 40),
+        cut=st.integers(1, 40) | st.none(),
+        logicals=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_reference(self, k, n, density, cut, seed):
+    # its lightest row lies in the trivial row space, so the first bound must
+    # come from a heavier one
+    @example(k=4, n=9, density=0.5, cut=None, logicals=1, seed=0)
+    def test_matches_reference(self, k, n, density, cut, logicals, seed):
+        """The pass lists exactly the reference's candidates lighter than
+        ``best_w``, in ascending order.  An unbounded ``best_w`` falls to one
+        more than the lightest pivot row of the pass outside the row space of
+        ``trivial``, which keeps every candidate as light as the lightest
+        one outside it."""
         gen = (np.random.default_rng(seed).random((k, n)) < density).astype(np.uint8)
-        best_w = min(cut, n + 1)
+        # all but the last few generators span the trivial row space, as the
+        # stabilizers of a code with that many logicals would
+        trivial = rref(BitMatrix.from_dense(gen[:max(k - logicals, 0)]))
+        best_w = n + 1 if cut is None else min(cut, n + 1)
         rng_new = np.random.default_rng([seed, 1])
         rng_ref = np.random.default_rng([seed, 1])
-        got = list(cp._isd_pass(BitMatrix.from_dense(gen), rng_new, best_w))
-        assert got == sorted(reference_isd_pass(gen, rng_ref, best_w))
+        got = list(cp._isd_pass(BitMatrix.from_dense(gen), rng_new, best_w, trivial))
+        want = sorted(reference_isd_pass(gen, rng_ref, best_w))
+        if best_w > n:
+            perm = np.random.default_rng([seed, 1]).permutation(n).tolist()
+            rows = gf2._eliminate(BitMatrix.from_dense(gen), perm).pivot_rows
+            best_w = min((a.bit_count() + 1 for a in rows
+                          if not in_rowspace(trivial, a)), default=best_w)
+        assert got == [(w, sup) for w, sup in want if w < best_w]
+        useful = [w for w, sup in want if not in_rowspace(trivial, sup)]
+        if useful:
+            assert len(got) >= sum(w <= useful[0] for w, _ in want)
         # one permutation per pass: both streams end in the same state
         assert rng_new.integers(2**62) == rng_ref.integers(2**62)
 
@@ -364,18 +385,22 @@ class TestSyndromeEnumeration:
         "table2_row03", "table2_row04", "table2_row05", "table2_row06",
         "table2_row07", "toric4d", "tt72",
     ])
-    def test_anchored_lightest_matches_every_root(self, name):
-        """On every fixture with n <= 150, the distance (X, Z) and
-        single-shot (ssX, ssZ) cores rooted at block origins agree with the
-        cores rooted at every column at w = 4, witness included."""
+    def test_anchored_lightest_matches_every_root(self, name, monkeypatch):
+        """On every fixture with n <= 150, ``distance_exhaustive`` of each
+        kind (X, Z, and ssX, ssZ where the metacheck exists) rooted at block
+        origins agrees with the same search rooted at every column at w = 4,
+        witness included."""
         code = build_from_config(load_fixture(f"{name}.json"))
-        for h, stab in code_pairs(code):
+        kinds = ["X", "Z"] + ["ss" + et for et, m in (("X", code.m_x), ("Z", code.m_z))
+                              if m is not None]
+        for kind in kinds:
+            h, stab = cp._select_check_pair(code, kind)
             roots = cp._translation_roots(code, h, stab)
             assert roots == range(0, h.cols, code.spec.size)
-            trivial = rref(stab)
-            anchored = cp._lightest(h, trivial, roots, 4, cp.DEFAULT_ENUM_BUDGET)
-            every = cp._lightest(h, trivial, range(h.cols), 4, cp.DEFAULT_ENUM_BUDGET)
-            assert anchored == every
+        anchored = [cp.distance_exhaustive(code, kind, 4) for kind in kinds]
+        monkeypatch.setattr(cp, "_translation_roots", lambda _, h, stab: range(h.cols))
+        every = [cp.distance_exhaustive(code, kind, 4) for kind in kinds]
+        assert anchored == every
 
     @settings(max_examples=150, deadline=None)
     @given(cols=small_columns, max_w=st.integers(0, 3))
@@ -406,7 +431,7 @@ def reference_single_shot(code, check_type, w_max, iterations, seed):
     best_w, best_sup = m.cols + 1, None
     rng = np.random.default_rng([seed, 0])
     for _ in range(iterations):
-        for w, sup in cp._isd_pass(gen, rng, best_w):
+        for w, sup in cp._isd_pass(gen, rng, best_w, valid):
             if w >= best_w:
                 break
             if not in_rowspace(valid, sup):
@@ -442,18 +467,18 @@ class TestSingleShot:
         assert new.witness <= old.witness
 
     def test_workers_split_the_streams(self):
-        """The information-set stage is ``_isd`` on (M, P^T) with the
-        caller's ``workers``, once the budget stops the deepening."""
+        """The information-set stage is ``distance_randomized`` of kind ssZ
+        with the caller's ``workers``, once the budget stops the deepening."""
         code = build_from_config(load_fixture("tt72.json"))
         got = cp.single_shot_distance(code, "Z", 1, iterations=10, seed=3, workers=2,
                                       budget=cp._enum_cost(code.m_z.cols, 1))
-        isd = cp._isd(code.m_z, rref(transpose(code.p_z)), 10, 3, 2)
+        isd = cp.distance_randomized(code, "ssZ", 10, 3, 2)
         assert (got.upper, got.witness) == (isd.upper, isd.witness)
 
     def test_workers_change_the_passes(self):
         """On a pair whose passes find different witnesses on one and two
         streams (row 13's X-distance pair posing as (M, P)), the bound
-        follows the two-stream ``_isd``."""
+        follows the two-stream ``distance_randomized``."""
         code = build_from_config(load_fixture("table2_row13.json"))
         h, stab = cp._select_check_pair(code, "X")
         pair = dataclasses.replace(code, m_x=h, p_x=transpose(stab))
@@ -461,7 +486,7 @@ class TestSingleShot:
             cp.single_shot_distance(pair, "X", 1, iterations=20, seed=2, workers=w)
             for w in (1, 2)
         )
-        isd = cp._isd(h, rref(stab), 20, 2, 2)
+        isd = cp.distance_randomized(pair, "ssX", 20, 2, 2)
         assert (two.upper, two.witness) == (isd.upper, isd.witness)
         assert one.witness != two.witness
 

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmcodes import koszul
+from mmcodes.circulant import SizeBudgetExceeded
 from mmcodes.gf2 import mat_mul, transpose
 from mmcodes.koszul import (
+    ChainTooLarge,
     KoszulError,
     build_code,
     chain_dims,
@@ -115,6 +118,34 @@ class TestInstantiate:
         spec = GroupSpec((2,))
         with pytest.raises(KoszulError):
             instantiate(symbolic_boundaries(3), [RingElem.one(spec)] * 2, spec)
+
+
+class TestChainCap:
+    def test_t26_is_refused_before_its_subsets(self, monkeypatch):
+        """Its 2^26 subsets used to be listed first, several GB; with
+        ``symbolic_boundaries`` gone a late check fails at once instead."""
+        monkeypatch.setattr(koszul, "symbolic_boundaries", None)
+        with pytest.raises(ChainTooLarge, match="has 134217728 basis elements, "
+                           "over the cap 65536"):
+            make([2], ["1+x"] * 26)
+
+    def test_cap_is_the_sum_of_chain_dims(self, monkeypatch):
+        """A complex of 2^t |G| basis elements builds at the cap; one past it
+        is refused, as a size budget, before ``symbolic_boundaries`` runs."""
+        monkeypatch.setattr(koszul, "CHAIN_DIM_CAP", sum(chain_dims(4, 4)))
+        make([4], ["1+x"] * 4)
+        monkeypatch.setattr(koszul, "symbolic_boundaries", None)
+        with pytest.raises(SizeBudgetExceeded, match="has 128 basis elements, "
+                           "over the cap 64"):
+            make([8], ["1+x"] * 4)
+
+    def test_group_size_is_refused_first(self, monkeypatch):
+        """|G| = 5000 at t = 4 is past both budgets (80,000 basis
+        elements); the group size is named, as before the chain cap."""
+        monkeypatch.setattr(koszul, "symbolic_boundaries", None)
+        with pytest.raises(SizeBudgetExceeded) as info:
+            make([5000], ["1+x"] * 4)
+        assert str(info.value) == "group size 5000 exceeds the size budget 4096"
 
 
 class TestVerify:

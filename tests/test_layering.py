@@ -1,6 +1,7 @@
 """Only ``gf2`` moves matrices between int rows and dense arrays: every
 other module builds, transforms and scores them as int rows, and uses
-numpy only to draw random numbers.  Under 0.1 s."""
+numpy only to draw random numbers.  Every private function has a caller in
+``src``.  Under 0.1 s."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,44 @@ def test_numpy_only_draws_random_numbers_outside_gf2(path):
 def test_the_numpy_walk_sees_gf2s_own_uses():
     uses = {attr for attr, _ in numpy_uses(SRC / "gf2.py")}
     assert {"packbits", "unpackbits", "setdiff1d"} <= uses
+
+
+def unused_private_functions(sources: dict[str, str]) -> list[str]:
+    """``module:function`` for each module- or class-level function whose
+    name has one leading underscore and that no code in ``sources`` (module
+    name -> text) names outside its own body, by name, attribute or
+    import alias."""
+    defs, uses = [], {}
+    for mod, text in sources.items():
+        tree = ast.parse(text)
+        for scope in [tree] + [c for c in tree.body if isinstance(c, ast.ClassDef)]:
+            defs += [(mod, f) for f in scope.body
+                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and f.name.startswith("_") and not f.name.startswith("__")]
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name is not None:
+                uses.setdefault(name, []).append((mod, node.lineno))
+    return [f"{mod}:{f.name}" for mod, f in defs
+            if all(m == mod and f.lineno <= line <= f.end_lineno
+                   for m, line in uses.get(f.name, []))]
+
+
+def test_every_private_function_has_a_caller_in_src():
+    """A private helper that only tests call is a layer no workload uses:
+    tests call the public function that does the same job."""
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unused_private_functions(sources) == []
+
+
+def test_the_caller_walk_sees_an_unused_helper():
+    sources = {
+        "a": "def _used():\n    return _used()\n\n"
+             "def _called():\n    pass\n\n"
+             "class C:\n    def _method(self):\n        pass\n\n"
+             "    def __init__(self):\n        self.x = 0\n",
+        "b": "from a import _called\n",
+    }
+    assert unused_private_functions(sources) == ["a:_used", "a:_method"]

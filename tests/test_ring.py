@@ -131,6 +131,16 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_poly("x3", GroupSpec((2, 2)))
 
+    @pytest.mark.parametrize("text, offset", [
+        ("1+x^" + "9" * 5000, 4), ("x" + "1" * 5000, 1), ("x^\u00b2", 2),
+    ])
+    def test_number_int_refuses(self, text, offset):
+        """A number past int()'s 4,300-digit limit, or a superscript digit,
+        used to end in a ValueError; the offset is where the number starts."""
+        with pytest.raises(ParseError) as ei:
+            parse_poly(text, GroupSpec((3, 3)))
+        assert ei.value.offset == offset
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_poly("x+", GroupSpec((3,)))

@@ -12,7 +12,7 @@ import pytest
 
 import mmcodes
 from mmcodes import codeparams as cp
-from mmcodes import search
+from mmcodes import koszul, search
 from mmcodes.circulant import SizeBudgetExceeded
 from mmcodes.gf2 import DimensionMismatch
 from mmcodes.koszul import build_code
@@ -131,6 +131,13 @@ class TestEvaluate:
         gens = [parse_poly("1+x", spec)] * 2
         r = evaluate_candidate(gens, spec, base_config(orders=((200, 200),)))
         assert isinstance(r, Rejection) and r.stage == 1
+
+    def test_chain_past_the_cap_becomes_stage1(self, monkeypatch):
+        spec = GroupSpec((4,))
+        gens = [parse_poly("1+x", spec)] * 2
+        assert evaluate_candidate(gens, spec, base_config()) != Rejection(1)
+        monkeypatch.setattr(koszul, "CHAIN_DIM_CAP", 15)
+        assert evaluate_candidate(gens, spec, base_config()) == Rejection(1)
 
 
 class TestRunSearch:
