@@ -214,6 +214,15 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK
 
 
+def _confinement_w(code: MCssCode, w: int | None, command: str) -> int | None:
+    """``w``; past the code's qubit count it is a usage error naming the
+    command's confinement flag, raised before any work is done."""
+    if w is not None and w > code.n:
+        raise ConfigError(f"{_CONFINE_FLAG[command]} {w} exceeds the {code.n} qubits "
+                          "of the code")
+    return w
+
+
 def cmd_params(args, out) -> int:
     cfg, code = _load_code(args.config)
     report = cp.analyze(
@@ -221,7 +230,7 @@ def cmd_params(args, out) -> int:
         name=cfg.name,
         w_exhaustive=args.w_exhaustive,
         iterations=args.iterations,
-        confinement_w=args.confinement_w,
+        confinement_w=_confinement_w(code, args.confinement_w, "params"),
         ss_w=args.ss_w,
         seed=args.seed,
         workers=args.workers,
@@ -250,7 +259,8 @@ def cmd_distance(args, out) -> int:
 def cmd_confine(args, out) -> int:
     cfg, code = _load_code(args.config)
     prof = cp.confinement_profile(
-        code, args.type, args.w_max, mode=args.mode, seed=args.seed
+        code, args.type, _confinement_w(code, args.w_max, "confine"), mode=args.mode,
+        seed=args.seed,
     )
     _emit({"name": cfg.name, "type": args.type, **prof.to_dict()}, out)
     return EXIT_OK

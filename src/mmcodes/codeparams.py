@@ -17,6 +17,7 @@ passes run only past the budget.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from math import comb, inf
 
@@ -104,7 +105,7 @@ def _support_key(sup: int) -> tuple[int, ...]:
 
 def _enum_cost(n: int, w_max: int) -> int:
     """Steps charged for enumerating all nonempty supports of weight <= w_max."""
-    return sum(comb(n, j) for j in range(1, w_max + 1))
+    return sum(comb(n, j) for j in range(1, min(w_max, n) + 1))
 
 
 def _certifiable_w(n: int, cap: int, budget: int) -> int:
@@ -247,8 +248,8 @@ def distance_exhaustive(
         raise ValueError("w_max must be >= 1")
     kv = low_weight_kernel_vectors(h, w_max, _translation_roots(code, h, stab), budget)
     trivial = rref(stab)
-    for w in range(1, w_max + 1):
-        for v in kv.get(w, []):
+    for w in sorted(kv):
+        for v in kv[w]:
             if not in_rowspace(trivial, v):
                 return DistanceBound(lower=w, upper=w, witness=_support_key(v))
     return DistanceBound(lower=w_max + 1, upper=None, witness=None)
@@ -301,7 +302,8 @@ def distance_randomized(
     (seed, workers).
 
     ``workers`` only splits the randomness: pass ``it`` draws from stream
-    ``it mod workers``, seeded by (seed, stream).  Nothing runs
+    ``it mod workers``, seeded by (seed, stream), and only the streams
+    some pass draws from, min(workers, iterations), are built.  Nothing runs
     concurrently; the passes run one after another in this process.
     """
     h, stab = _select_check_pair(code, kind)
@@ -314,7 +316,7 @@ def distance_randomized(
         return DistanceBound(lower=1, upper=None, witness=None)
     best_w, trivial = h.cols + 1, rref(stab)
     best_sup: int | None = None
-    streams = [np.random.default_rng([seed, w]) for w in range(workers)]
+    streams = [np.random.default_rng([seed, w]) for w in range(min(workers, iterations))]
     done = False
     for it in range(iterations):
         if done:
@@ -443,34 +445,6 @@ def _minplus_closure(entries: list[int | None]) -> list[int | None]:
     return [int(c) if c < inf else None for c in closed]
 
 
-_WORD_BLOCK = 1024
-
-
-def _bounded_draws(rng: np.random.Generator):
-    """draw(b) == int(rng.integers(b)) for 1 <= b < 2**32, call for call,
-    from the generator's 32-bit words taken _WORD_BLOCK at a time.  The
-    rest of the last block is never used, so ``rng`` must not be drawn
-    from elsewhere."""
-    def words():
-        while True:
-            block = rng.integers(0, 1 << 32, size=_WORD_BLOCK, dtype=np.uint32)
-            yield from block.tolist()
-
-    word = words().__next__
-
-    def draw(b: int) -> int:
-        if b == 1:
-            return 0
-        m = word() * b
-        if m & 0xFFFFFFFF < b:
-            floor = ((1 << 32) - b) % b
-            while m & 0xFFFFFFFF < floor:
-                m = word() * b
-        return m >> 32
-
-    return draw
-
-
 def confinement_profile(
     code: MCssCode,
     err_type: str,
@@ -480,8 +454,9 @@ def confinement_profile(
     samples: int = 20000,
 ) -> ConfinementProfile:
     """Minimum nonzero syndrome weight over irreducible errors, per reduced
-    error weight 1..w_max.  ``err_type`` is "X" or "Z": the single-shot
-    kinds of ``_select_check_pair`` pose no confinement problem.
+    error weight 1..w_max, with w_max at most the qubit count n (no error
+    weighs more).  ``err_type`` is "X" or "Z": the single-shot kinds of
+    ``_select_check_pair`` pose no confinement problem.
 
     An error of weight w is irreducible when its coset under the same-type
     stabilizers contains no lighter vector.  Candidates have supports
@@ -523,26 +498,20 @@ def confinement_profile(
     Both modes build ``reachable``, whose 1 + sum_{j<=w_max-2} C(n, j)
     entries past ``CONFINEMENT_TABLE_CAP`` raise ``TableTooLarge``.
 
-    Cluster mode draws, per sample, a root with ``rng.integers(n)``, then
-    each further qubit as the k-th set bit of the frontier mask (the Tanner
-    neighbours of the cluster outside it), k = ``rng.integers(size of the
-    frontier)``, until the cluster has w_max qubits or no frontier.  The
-    draws equal those ``rng.integers`` calls, call for call, but come from
-    ``_bounded_draws``, which takes the generator's 32-bit words in blocks
-    and maps each to [0, b) as numpy does, by Lemire's multiply-shift
-    (ACM TOMACS 29(1), 2019): the high half of x*b, redrawing while the low
-    half is below (2**32 - b) % b; b == 1 gives 0 and takes no word.  A
-    numpy that mapped words differently would change the samples; the test
-    of ``_bounded_draws`` against ``rng.integers`` is what catches it.
+    Cluster mode draws, per sample, a root with ``draw(n)``, then each
+    further qubit as the k-th set bit of the frontier mask (the Tanner
+    neighbours of the cluster outside it), k = ``draw(size of the
+    frontier)``, until the cluster has w_max qubits or no frontier;
+    ``draw`` is ``random.Random(seed).randrange``.
     """
-    if w_max < 1:
-        raise ValueError("w_max must be >= 1")
     if err_type not in ("X", "Z"):
         raise ValueError(f"err_type must be 'X' or 'Z', got {err_type!r}")
     if mode not in ("exact", "cluster"):
         raise ValueError(f"mode must be 'exact' or 'cluster', got {mode!r}")
     h, stab = _select_check_pair(code, err_type)
     n = h.cols
+    if not 1 <= w_max <= n:
+        raise ValueError(f"w_max must be in 1..{n}, the qubit count, got {w_max}")
     entries = 1 + _enum_cost(n, w_max - 2)
     if entries > CONFINEMENT_TABLE_CAP:
         raise TableTooLarge(entries, CONFINEMENT_TABLE_CAP)
@@ -582,7 +551,7 @@ def confinement_profile(
         for k, word in _clusters(nbr, w_max, roots, cols, low, best, cut):
             consider(k, word)
     else:
-        draw = _bounded_draws(np.random.default_rng([seed, 1]))
+        draw = random.Random(seed).randrange
         for _ in range(samples):
             q = draw(n)
             cur, front, word = 1 << q, nbr[q], cols[q]

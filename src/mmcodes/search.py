@@ -14,11 +14,12 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
+from math import comb, prod
 
 import numpy as np
 
 from . import codeparams as cp
-from .koszul import build_code
+from .koszul import CHAIN_DIM_CAP, build_code
 from .ring import GroupSpec, RingElem, _names_for, parse_poly, render
 
 
@@ -102,8 +103,16 @@ class SearchConfig:
                 f"bad distance_budget {self.distance_budget}: need "
                 "w_exhaustive >= 1 and iterations >= 0"
             )
-        if self.confinement_w_max is not None and self.confinement_w_max < 1:
+        w = self.confinement_w_max
+        if w is not None and w < 1:
             raise SearchError("confinement_w_max must be >= 1")
+        # Past t = 16 every chain complex passes CHAIN_DIM_CAP: none is profiled.
+        if w is not None and self.t < CHAIN_DIM_CAP.bit_length():
+            for order in self.orders:
+                n = comb(self.t, self.t // 2) * prod(order)
+                if min(order, default=0) >= 1 and w > n:
+                    raise SearchError(f"confinement_w_max {w} exceeds the {n} qubits "
+                                      f"of the codes of orders {list(order)}")
 
     @classmethod
     def from_dict(cls, doc) -> SearchConfig:

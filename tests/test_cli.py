@@ -225,6 +225,7 @@ class TestSearchCommand:
 
 ROW13 = str(resources.files("mmcodes") / "fixtures" / "table2_row13.json")
 TT72 = str(resources.files("mmcodes") / "fixtures" / "tt72.json")
+BGA16 = str(resources.files("mmcodes") / "fixtures" / "bga16.json")
 
 
 class TestBadInput:
@@ -429,6 +430,35 @@ class TestBadInput:
         assert rc == EXIT_BUDGET and out == ""
         assert capsys.readouterr().err == (
             "error: group size 8193 exceeds the size budget 4096\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["confine", BGA16, "--type", "Z", "--w-max", "17"],
+        ["params", BGA16, "--confinement-w", "17"],
+    ], ids=["confine", "params"])
+    def test_confinement_weight_past_the_qubit_count(self, argv, capsys):
+        """bga16 has 16 qubits; both commands used to run at w = 17."""
+        err = self.expect_usage_error(argv, capsys)
+        assert err == f"error: {argv[-2]} 17 exceeds the 16 qubits of the code\n"
+
+    def test_weight_past_n_is_charged_without_a_loop_over_it(self, tmp_path):
+        """Past n the charge is C(n, 1) + ... + C(n, n): tt72 at w = 10^12 is
+        refused at once with the same message as at w = 72, and a code
+        without logicals is certified up to 10^12 without walking the
+        weights in between.  Both used to loop once per weight."""
+        proc = run_under_memory_limit(
+            ["distance", TT72, "--type", "Z", "--w-exhaustive", str(10**12)],
+            1_000_000 * 1024)
+        assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
+        assert proc.stderr == ("error: enumeration needs ~4.72e+21 steps, over the "
+                               "budget 1e+09\nhint: lower --w-exhaustive or raise "
+                               "MMCODES_BUDGET\n")
+        p = tmp_path / "k0.json"
+        p.write_text(json.dumps({"t": 2, "orders": [2], "generators": ["1", "1"]}))
+        proc = run_under_memory_limit(
+            ["distance", str(p), "--type", "Z", "--w-exhaustive", str(10**12)],
+            1_000_000 * 1024)
+        assert proc.returncode == EXIT_OK
+        assert json.loads(proc.stdout)["lower"] == 10**12 + 1
 
     def test_chain_size_budget_under_an_address_space_limit(self, tmp_path):
         """t = 26 generators used to list all 2^26 subsets and end in a

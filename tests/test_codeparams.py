@@ -162,6 +162,24 @@ class TestDistanceRandomized:
         with pytest.raises(ValueError, match="workers"):
             cp.distance_randomized(row1, "Z", 5, seed=0, workers=workers)
 
+    def test_streams_only_for_the_passes_that_run(self, row1, monkeypatch):
+        """Two passes build two streams, whatever ``workers`` is, and draw
+        what they would with two workers.  Building all 10^7 would take
+        about 220 s and 10 GB."""
+        seeds, make_rng = [], np.random.default_rng
+
+        def counted(seed):
+            seeds.append(seed)
+            if len(seeds) > 3:
+                raise AssertionError("built a stream that no pass draws from")
+            return make_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        got = cp.distance_randomized(row1, "Z", 2, seed=5, workers=10**7)
+        monkeypatch.undo()
+        assert seeds == [[5, 0], [5, 1]]
+        assert got == cp.distance_randomized(row1, "Z", 2, seed=5, workers=2)
+
 
 def reference_escalate(code, err_type, bound, iterations, seed):
     """The escalation without deepening: the exhaustive bound, then the
@@ -643,9 +661,9 @@ def reference_cluster_profile(code, err_type, w_max, seed, samples):
         if 0 < sw < best[w - 1]:
             best[w - 1] = sw
 
-    rng = np.random.default_rng([seed, 1])
+    draw = random.Random(seed).randrange
     for _ in range(samples):
-        cur = [int(rng.integers(n))]
+        cur = [draw(n)]
         cur_set = set(cur)
         consider(tuple(cur))
         while len(cur) < w_max:
@@ -654,30 +672,12 @@ def reference_cluster_profile(code, err_type, w_max, seed, samples):
             )
             if not frontier:
                 break
-            q = frontier[int(rng.integers(len(frontier)))]
+            q = frontier[draw(len(frontier))]
             cur.append(q)
             cur_set.add(q)
             consider(tuple(sorted(cur)))
     raw = [int(b) if b < math.inf else None for b in best]
     return tuple(cp._minplus_closure(raw))
-
-
-class TestBoundedDraws:
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_draws_equal_generator_integers(self, seed, data):
-        """Call for call equal to ``Generator.integers`` over several blocks
-        of words: 2**31 + 1 rejects about half its words, and a bound of 1
-        takes none.  It takes about 0.5 s."""
-        edge = [1, 2, 3, 96, 648, 2**31 + 1, 3 * 2**30, 2**32 - 1]
-        bound = st.one_of(st.sampled_from(edge), st.integers(1, 2**32 - 1))
-        pattern = data.draw(st.lists(bound, min_size=1, max_size=16))
-        assume(any(b > 1 for b in pattern))
-        # each bound above 1 takes at least one word
-        bounds = pattern * (3 * cp._WORD_BLOCK // sum(b > 1 for b in pattern) + 1)
-        draw = cp._bounded_draws(np.random.default_rng([seed, 1]))
-        rng = np.random.default_rng([seed, 1])
-        assert [draw(b) for b in bounds] == [int(rng.integers(b)) for b in bounds]
 
 
 def draw_generators(data, spec, t):
@@ -851,14 +851,13 @@ class TestConfinement:
 
     def test_cluster_frontier_of_one_across_blocks(self):
         """The checks of h join qubits i and i + 1, so a cluster rooted at
-        qubit 0 has a frontier of one qubit, and its draw takes no word.
-        Each root takes one, so the samples outrun a block of words."""
+        qubit 0 has a frontier of one qubit."""
         n = 7
         path = BitMatrix([0b11 << i for i in range(n - 1)], n)
         code = dataclasses.replace(make([3], ["1+x", "1+x^2"]),
                                    p_x=path, p_z=BitMatrix([], n))
         assert cp._tanner_neighbors(path)[0] == 0b10
-        samples = cp._WORD_BLOCK + 200
+        samples = 1000
         for seed in range(3):
             got = cp.confinement_profile(
                 code, "Z", 4, mode="cluster", seed=seed, samples=samples
@@ -942,7 +941,7 @@ class TestConfinement:
             p_x=BitMatrix(data.draw(rows), n),
             p_z=BitMatrix(data.draw(rows), n),
         )
-        w_max = data.draw(st.integers(1, 4))
+        w_max = data.draw(st.integers(1, min(4, n)))
         for et in ("X", "Z"):
             got = cp.confinement_profile(code, et, w_max)
             assert got.entries == brute_confinement(code, et, w_max)
@@ -993,6 +992,18 @@ class TestConfinement:
     def test_bad_mode(self, row1):
         with pytest.raises(ValueError):
             cp.confinement_profile(row1, "Z", 2, mode="auto")
+
+    @pytest.mark.parametrize("mode", ["exact", "cluster"])
+    def test_weight_past_the_qubit_count_is_refused(self, mode):
+        """No error of bga16 weighs more than its n = 16 qubits: w = 16 is
+        the last weight with a profile.  w = 2000 used to print 2,000 entries,
+        and w = 10^9 would have allocated about 16 GB."""
+        code = build_from_config(load_fixture("bga16.json"))
+        assert len(cp.confinement_profile(code, "Z", 16, mode=mode, samples=50)
+                   .entries) == 16
+        for w in (17, 10**9):
+            with pytest.raises(ValueError, match=f"in 1..16, the qubit count, got {w}"):
+                cp.confinement_profile(code, "Z", w, mode=mode)
 
 
 class TestCheckWeights:

@@ -12,8 +12,8 @@ import mmcodes
 
 SRC = Path(mmcodes.__file__).parent
 DENSE_EDGE = {"from_dense", "to_dense"}
-# ``np.random...`` and the dtype ``_bounded_draws`` draws its words in.
-NUMPY_OUTSIDE_GF2 = {"random", "uint32"}
+# ``np.random...``
+NUMPY_OUTSIDE_GF2 = {"random"}
 
 
 def dense_edge_uses(path: Path) -> list[str]:

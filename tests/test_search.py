@@ -55,6 +55,15 @@ class TestConfig:
         with pytest.raises(SearchError):
             base_config(t=0)
 
+    def test_confinement_weight_past_the_qubit_count(self):
+        """A search never overrides q = t // 2, so orders (4,) at t = 2 give
+        codes of C(2, 1)*4 = 8 qubits.  Past t = 16 no chain complex fits
+        its cap and no code is profiled, so no binomial is computed."""
+        base_config(orders=((4,), (6,)), confinement_w_max=8)
+        with pytest.raises(SearchError, match="9 exceeds the 8 qubits .* orders \\[4\\]"):
+            base_config(orders=((4,), (6,)), confinement_w_max=9)
+        base_config(t=10**9, confinement_w_max=10**9)
+
 
 class TestSampling:
     def test_single_term_gives_monomials(self):
