@@ -7,34 +7,44 @@ significant); each monomial shifts the decoded index componentwise.
 
 from __future__ import annotations
 
+import math
+import sys
+
 from .gf2 import BitMatrix, DimensionMismatch, mat_mul
 from .ring import GroupSpec, RingElem, SpecMismatch
 
-# Refuse to materialize circulants beyond this group size unless the caller
-# raises the limit explicitly.
+# Refuse to materialize circulants beyond this group size.
 DEFAULT_SIZE_BUDGET = 4096
+
+
+def _count_text(n: int, spec: str = "", mark: str = "") -> str:
+    """A count in a refusal message: ``mark`` ("~" for a rounded count) and
+    ``n`` formatted by ``spec`` while ``n`` is in float range; past it, where
+    a float format overflows and ``str`` may pass its digit limit, the
+    nearest power of two, "~2^k"."""
+    if n <= sys.float_info.max:
+        return mark + format(n, spec)
+    return f"~2^{round(math.log2(n))}"
 
 
 class SizeBudgetExceeded(Exception):
     def __init__(self, n: int, budget: int):
         self.n = n
         self.budget = budget
-        super().__init__(f"group size {n} exceeds the size budget {budget}")
+        super().__init__(f"group size {_count_text(n)} exceeds the size budget {budget}")
 
     def __reduce__(self):
         return type(self), (self.n, self.budget)
 
 
-def poly_to_circulant(
-    f: RingElem, spec: GroupSpec, size_budget: int = DEFAULT_SIZE_BUDGET
-) -> BitMatrix:
+def poly_to_circulant(f: RingElem, spec: GroupSpec) -> BitMatrix:
     """Column-by-column construction: column j sets bit j of each row a
     monomial shifts it to; exponents are already reduced into [0, l_k)."""
     if f.spec != spec:
         raise SpecMismatch(f"element spec {f.spec} does not match {spec}")
     n = spec.size
-    if n > size_budget:
-        raise SizeBudgetExceeded(n, size_budget)
+    if n > DEFAULT_SIZE_BUDGET:
+        raise SizeBudgetExceeded(n, DEFAULT_SIZE_BUDGET)
     orders = spec.orders
     rows = [0] * n
     for j in range(n):

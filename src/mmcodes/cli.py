@@ -34,8 +34,7 @@ EXIT_BUDGET = 3
 
 SCHEMA_VERSION = 1
 
-# The option that sets each command's enumeration weight; table2 derives
-# its weight from the published d and the budget.
+# The option that sets each command's enumeration weight.
 _WEIGHT_FLAG = {"params": "--w-exhaustive", "distance": "--w-exhaustive",
                 "ssdist": "--w-max"}
 # The option or search-config field that sets each command's confinement
@@ -90,11 +89,16 @@ _CODE_FIELDS = {
 
 def config_from_dict(doc: dict, default_name: str = "") -> BuildConfig:
     """The config a JSON code document describes.  A missing ``t``,
-    ``orders`` or ``generators``, or a field of the wrong type or shape,
-    raises ConfigError."""
+    ``orders`` or ``generators``, a field of the wrong type or shape, or a
+    ``t`` or ``q_override`` that leaves no qubit degree q in 1..t-1, raises
+    ConfigError."""
     fields = _checked(doc, _CODE_FIELDS, ("t", "orders", "generators"), "config",
                       ConfigError)
-    t, gens = fields["t"], fields["generators"]
+    t, gens, q = fields["t"], fields["generators"], fields.get("q_override")
+    if t < 2:
+        raise ConfigError(f"config t={t} leaves no qubit degree: t must be >= 2")
+    if q is not None and not 1 <= q <= t - 1:
+        raise ConfigError(f"config q_override {q} is out of range 1..{t - 1}")
     if len(gens) != t:
         raise ConfigError(f"config has {len(gens)} generators but t={t}")
     variables = fields.get("variables") or None
@@ -340,19 +344,16 @@ def cmd_table2(args, out) -> int:
         code = build_from_config(cfg)
         k = cp.logical_count(code)
         d_pub = pub["d"]
-        # Below w=1 nothing fits: let w=1 raise BudgetExceeded.
-        w_cert = max(1, cp._certifiable_w(code.n, d_pub, budget))
-        bound = exhaustive = _lighter(
-            cp.distance_exhaustive(code, "Z", w_cert, budget),
-            cp.distance_exhaustive(code, "X", w_cert, budget),
-        )
-        # Randomized passes only hunt for the published d: X is skipped once
-        # Z reaches it.
+        # Each type is certified from weight 1 at any --iterations; the passes
+        # hunt only for the published d.  X is skipped once Z reaches it: each
+        # row has t = 4 and q = 2, where the transposed complex is that of the
+        # generators' antipodes, a qubit permutation of this one: d_X = d_Z.
+        bound = None
         for et in ("Z", "X"):
-            bound = _lighter(bound, cp._escalate(
-                code, et, exhaustive, args.iterations, args.seed, args.workers,
-                stop_at=d_pub, budget=budget,
-            ))
+            b = cp._deepen(code, et, cp.distance_exhaustive(code, et, 1, budget), budget)
+            b = cp._escalate(code, et, b, args.iterations, args.seed, args.workers,
+                             stop_at=d_pub, budget=budget)
+            bound = b if bound is None else _lighter(bound, b)
             if bound.upper is not None and bound.upper <= d_pub:
                 break
         weights = [w for m in (code.p_x, code.p_z) for w in m.row_weights()]

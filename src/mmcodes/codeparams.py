@@ -11,18 +11,20 @@ Distance search works in two regimes:
   upper bounds only.
 
 Escalating from the first to the second (``_escalate``) deepens the
-exhaustive search one weight at a time while the budget allows, so the
-passes run only past the budget.
+exhaustive search one weight at a time while the budget allows
+(``_deepen``), so the passes run only past the budget.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from math import comb, inf
 
 import numpy as np
 
+from .circulant import _count_text
 from .gf2 import BitMatrix, _eliminate, kernel_basis, in_rowspace, rank, rref, transpose
 from .koszul import MCssCode
 
@@ -36,9 +38,8 @@ class BudgetExceeded(Exception):
     def __init__(self, needed: int, budget: int):
         self.needed = needed
         self.budget = budget
-        super().__init__(
-            f"enumeration needs ~{needed:.3g} steps, over the budget {budget:.3g}"
-        )
+        super().__init__(f"enumeration needs {_count_text(needed, '.3g', '~')} steps, "
+                         f"over the budget {_count_text(budget, '.3g')}")
 
     def __reduce__(self):
         return type(self), (self.needed, self.budget)
@@ -48,8 +49,8 @@ class TableTooLarge(BudgetExceeded):
     """The coset table of ``confinement_profile`` would pass the cap."""
 
     def __str__(self):
-        return (f"the confinement table needs ~{self.needed:.3g} entries, "
-                f"over the cap {self.budget:.3g}")
+        return (f"the confinement table needs {_count_text(self.needed, '.3g', '~')} "
+                f"entries, over the cap {_count_text(self.budget, '.3g')}")
 
 
 class MetacheckAbsent(Exception):
@@ -106,11 +107,6 @@ def _support_key(sup: int) -> tuple[int, ...]:
 def _enum_cost(n: int, w_max: int) -> int:
     """Steps charged for enumerating all nonempty supports of weight <= w_max."""
     return sum(comb(n, j) for j in range(1, min(w_max, n) + 1))
-
-
-def _certifiable_w(n: int, cap: int, budget: int) -> int:
-    """Largest w <= cap whose enumeration fits the budget, or 0."""
-    return max((w for w in range(cap + 1) if _enum_cost(n, w) <= budget), default=0)
 
 
 def _syndrome_layers(cols: list[int], max_w: int):
@@ -337,36 +333,43 @@ def distance_randomized(
     return DistanceBound(lower=1, upper=best_w, witness=_support_key(best_sup))
 
 
+def _deepen(code: MCssCode, kind: str, bound: DistanceBound,
+            budget: int = DEFAULT_ENUM_BUDGET) -> DistanceBound:
+    """``bound`` if it has a witness or the pair (h, stab) of ``kind`` has
+    no logicals (dim ker h <= rank stab; for X and Z, k = 0), where no level
+    would end; else ``distance_exhaustive`` rerun at w = bound.lower,
+    bound.lower + 1, ... until a level finds a logical, returned as exact,
+    or ``low_weight_kernel_vectors`` refuses a level's charge.  Each level
+    certifies its weight: ``bound.lower`` is certified, so a level that
+    finds nothing rules out every logical of weight <= w, one that finds
+    one finds it at weight w, and a refused level's w is ``bound.lower``.
+    With logicals a level ends it: none weighs more than h.cols."""
+    if bound.upper is not None:
+        return bound
+    h, stab = _select_check_pair(code, kind)
+    if h.cols - rank(h) > rank(stab):
+        with suppress(BudgetExceeded):
+            while bound.upper is None:
+                bound = distance_exhaustive(code, kind, bound.lower, budget)
+    return bound
+
+
 def _escalate(
     code: MCssCode, kind: str, bound: DistanceBound, iterations: int,
     seed: int, workers: int, stop_at: int | None = None,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> DistanceBound:
-    """``bound`` if it has a witness or ``iterations < 1``; else ``bound``
-    deepened, then sampled.  The one place that decides between the two,
-    for every ``kind`` of ``_select_check_pair``.
-
-    If the pair (h, stab) has logicals, dim ker h > rank stab (for X and Z
-    that is k > 0), ``distance_exhaustive`` runs again at w = bound.lower,
-    bound.lower + 1, ... while C(n, 1) + ... + C(n, w), n = h.cols, fits
-    ``budget``, and the first witness found is returned as exact.  Each
-    level certifies its weight: ``bound.lower`` is certified, so a level
-    that finds nothing rules out every logical of weight <= w, and one that
-    finds one finds it at weight w.  Once the budget stops the deepening,
-    the lower bound is the first w it did not reach, and
-    ``distance_randomized`` adds its upper bound and witness, if any.
-    (Without logicals no level would end it.)"""
-    if bound.upper is not None or iterations < 1:
+    """``bound`` if ``iterations < 1``; else ``bound`` deepened (``_deepen``)
+    and, if no logical turns up, given the upper bound and witness of
+    ``distance_randomized``, if any.  The one place that decides between
+    the two, for every ``kind`` of ``_select_check_pair``."""
+    if iterations < 1:
         return bound
-    h, stab = _select_check_pair(code, kind)
-    w, has_logicals = bound.lower, h.cols - rank(h) > rank(stab)
-    while has_logicals and _enum_cost(h.cols, w) <= budget:
-        deeper = distance_exhaustive(code, kind, w, budget)
-        if deeper.upper is not None:
-            return deeper
-        w += 1
+    bound = _deepen(code, kind, bound, budget)
+    if bound.upper is not None:
+        return bound
     r = distance_randomized(code, kind, iterations, seed, workers, stop_at)
-    return replace(bound if r.upper is None else r, lower=w)
+    return replace(r, lower=bound.lower)
 
 
 def single_shot_distance(

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .circulant import DEFAULT_SIZE_BUDGET, SizeBudgetExceeded, poly_to_circulant
+from .circulant import (
+    DEFAULT_SIZE_BUDGET, SizeBudgetExceeded, _count_text, poly_to_circulant,
+)
 from .gf2 import BitMatrix, DimensionMismatch, mat_mul, transpose
 from .ring import GroupSpec, RingElem
 
@@ -30,7 +32,7 @@ class ChainTooLarge(SizeBudgetExceeded):
     """The chain complex would pass ``CHAIN_DIM_CAP``."""
 
     def __str__(self):
-        return (f"the chain complex has {self.n} basis elements, "
+        return (f"the chain complex has {_count_text(self.n)} basis elements, "
                 f"over the cap {self.budget}")
 
 
@@ -166,6 +168,16 @@ def extract_mcss(
     )
 
 
+def _check_size(t: int, size: int):
+    """Refuse a group of ``size`` elements past ``DEFAULT_SIZE_BUDGET``, then
+    a chain complex on t generators over it, of 2^t * size basis elements,
+    past ``CHAIN_DIM_CAP``: the sizes ``build_code`` will not build."""
+    if size > DEFAULT_SIZE_BUDGET:
+        raise SizeBudgetExceeded(size, DEFAULT_SIZE_BUDGET)
+    if (dim := size << t) > CHAIN_DIM_CAP:
+        raise ChainTooLarge(dim, CHAIN_DIM_CAP)
+
+
 def build_code(
     gens: list[RingElem],
     spec: GroupSpec,
@@ -174,10 +186,7 @@ def build_code(
     """Full pipeline: symbolic maps, circulant instantiation, chain-condition
     check, mCSS extraction.  Returns the code and the instantiated maps."""
     t = len(gens)
-    if spec.size > DEFAULT_SIZE_BUDGET:  # the group is refused before its chain
-        raise SizeBudgetExceeded(spec.size, DEFAULT_SIZE_BUDGET)
-    if (dim := spec.size << t) > CHAIN_DIM_CAP:
-        raise ChainTooLarge(dim, CHAIN_DIM_CAP)
+    _check_size(t, spec.size)
     sym = symbolic_boundaries(t)
     maps = instantiate(sym, gens, spec)
     if not verify_complex(maps):

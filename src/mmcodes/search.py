@@ -19,7 +19,8 @@ from math import comb, prod
 import numpy as np
 
 from . import codeparams as cp
-from .koszul import CHAIN_DIM_CAP, build_code
+from .circulant import SizeBudgetExceeded
+from .koszul import CHAIN_DIM_CAP, _check_size, build_code
 from .ring import GroupSpec, RingElem, _names_for, parse_poly, render
 
 
@@ -85,14 +86,23 @@ class SearchConfig:
     structured_families: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.t < 1:
-            raise SearchError("t must be >= 1")
+        # Past t = 16 every chain complex passes CHAIN_DIM_CAP, whatever |G|:
+        # refused before 2^t is formed.
+        if not 2 <= self.t < CHAIN_DIM_CAP.bit_length():
+            raise SearchError(f"t must be in 2..{CHAIN_DIM_CAP.bit_length() - 1}: "
+                              "below 2 no code has a qubit degree, and past that "
+                              "every chain complex passes its cap")
         if self.term_range[0] < 1 or self.term_range[0] > self.term_range[1]:
             raise SearchError(f"bad term_range {self.term_range}")
         if self.max_candidates < 0:
             raise SearchError("max_candidates must be >= 0")
         if not self.orders:
             raise SearchError("need at least one candidate order tuple")
+        for order in self.orders:
+            try:
+                _check_size(self.t, GroupSpec(order).size)
+            except SizeBudgetExceeded as exc:
+                raise SearchError(f"orders {list(order)} at t={self.t}: {exc}") from None
         if self.seed < 0:
             raise SearchError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
@@ -106,11 +116,10 @@ class SearchConfig:
         w = self.confinement_w_max
         if w is not None and w < 1:
             raise SearchError("confinement_w_max must be >= 1")
-        # Past t = 16 every chain complex passes CHAIN_DIM_CAP: none is profiled.
-        if w is not None and self.t < CHAIN_DIM_CAP.bit_length():
+        if w is not None:
             for order in self.orders:
                 n = comb(self.t, self.t // 2) * prod(order)
-                if min(order, default=0) >= 1 and w > n:
+                if w > n:
                     raise SearchError(f"confinement_w_max {w} exceeds the {n} qubits "
                                       f"of the codes of orders {list(order)}")
 

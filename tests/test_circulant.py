@@ -117,9 +117,7 @@ def test_spec_mismatch():
 def test_size_budget():
     s = GroupSpec((100, 100))
     with pytest.raises(SizeBudgetExceeded):
-        poly_to_circulant(RingElem.one(s), s, size_budget=4096)
-    assert poly_to_circulant(RingElem.one(GroupSpec((9,))), GroupSpec((9,)),
-                             size_budget=9).shape == (9, 9)
+        poly_to_circulant(RingElem.one(s), s)
 
 
 def test_commute_check_counterexample():

@@ -524,6 +524,41 @@ class TestBadInput:
             ["export", row1_config, "--matrix", "p_x", "--out", str(dest)], capsys)
         assert err == f"error: cannot write {dest}: No such file or directory\n"
 
+    @pytest.mark.parametrize("patch, message", [
+        ({"t": 1, "generators": ["1+wx"]}, "config t=1 leaves no qubit degree"),
+        ({"t": 0, "generators": []}, "config t=0 leaves no qubit degree"),
+        ({"q_override": 9}, "config q_override 9 is out of range 1..3"),
+        ({"q_override": 0}, "config q_override 0 is out of range 1..3"),
+    ], ids=["t1", "t0", "q9", "q0"])
+    def test_config_without_a_qubit_degree(self, patch, message, tmp_path, capsys):
+        """These used to fail in the build and exit 1, the code of a
+        verification failure."""
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(dict(ROW1, **patch)))
+        err = self.expect_usage_error(["verify", str(p)], capsys)
+        assert err.startswith(f"error: {message}")
+
+    def test_search_order_past_the_group_size_budget(self, tmp_path, capsys):
+        """numpy cannot draw monomials of a group of 10^22 elements: this
+        used to end in an OverflowError traceback with exit 1."""
+        p = tmp_path / "search.json"
+        p.write_text(json.dumps({"t": 2, "orders": [[10**22]], "term_range": [2, 3]}))
+        err = self.expect_usage_error(["search", str(p)], capsys)
+        assert err == (f"error: orders [{10**22}] at t=2: group size {10**22} "
+                       "exceeds the size budget 4096\n")
+
+    def test_search_t_past_the_chain_cap_is_refused_at_once(self, tmp_path):
+        """Every candidate at t = 10^9 is a stage-1 rejection, after its t
+        generators are drawn; the config is now refused without forming
+        2^t, in about 0.4 s of process start-up."""
+        p = tmp_path / "search.json"
+        p.write_text(json.dumps({"t": 10**9, "orders": [[4]], "term_range": [1, 2],
+                                 "max_candidates": 1}))
+        proc = run_under_memory_limit(["search", str(p)], 1_000_000 * 1024, timeout=5)
+        assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+        assert proc.stderr.startswith("error: t must be in 2..16")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_search_into_a_missing_directory(self, tmp_path, capsys):
         p = tmp_path / "search.json"
         p.write_text(json.dumps({"t": 2, "orders": [[4]], "max_candidates": 2}))
@@ -535,17 +570,54 @@ class TestBadInput:
 ROW20 = str(resources.files("mmcodes") / "fixtures" / "table2_row20.json")
 
 
-def run_under_memory_limit(argv, limit):
+def run_under_memory_limit(argv, limit, timeout=60):
     """``mmcodes argv`` in a fresh process with an address space of at most
-    ``limit`` bytes."""
+    ``limit`` bytes, given ``timeout`` seconds."""
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     env = dict(os.environ, PYTHONPATH=str(Path(cp.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "mmcodes.cli", *argv],
-                          capture_output=True, text=True, timeout=60, env=env,
+                          capture_output=True, text=True, timeout=timeout, env=env,
                           preexec_fn=cap_memory)
+
+
+HAAH1024 = str(resources.files("mmcodes") / "fixtures" / "haah1024.json")
+
+
+class TestCountsPastFloatRange:
+    """A refusal prints a count past float range as the nearest power of
+    two; each of these used to end in a traceback with exit 1."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["distance", HAAH1024, "--type", "Z", "--w-exhaustive", "1024"],
+         "error: enumeration needs ~2^1024 steps, over the budget 1e+09"),
+        (["confine", HAAH1024, "--type", "Z", "--w-max", "1024"],
+         "error: the confinement table needs ~2^1024 entries, over the cap 2e+07"),
+    ], ids=["distance", "confine"])
+    def test_charge_past_float_range(self, argv, message, capsys):
+        """Formatting these charges with ``.3g`` raised OverflowError."""
+        rc, out = run(argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_BUDGET and out == "" and "Traceback" not in err
+        assert err.splitlines()[0] == message
+        assert [ln.split()[0] for ln in err.splitlines()] == ["error:", "hint:"]
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"t": 15000, "orders": [2], "generators": ["1"] * 15000},
+         "the chain complex has ~2^15001 basis elements, over the cap 65536"),
+        ({"t": 2, "orders": [10**4000 - 1] * 2, "generators": ["1", "1"]},
+         "group size ~2^26575 exceeds the size budget 4096"),
+    ], ids=["chain", "group"])
+    def test_size_past_the_digit_limit(self, doc, message, tmp_path, capsys):
+        """``str`` refuses an int of more than 4,300 digits with a
+        ValueError, raised while the exception was being built."""
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(doc))
+        rc, out = run(["verify", str(p)])
+        assert rc == EXIT_BUDGET and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestConfinementTableCap:
@@ -618,6 +690,23 @@ def test_cli_surface():
     assert surface == CLI_SURFACE
 
 
+# (w, --iterations) -> row 01's (d_lower, d_upper, d_status) with
+# MMCODES_BUDGET the charge of the search up to w, as recorded while table2
+# still chose its own exhaustive weight from the budget.
+ROW01_AT_BUDGET = {
+    (1, 0): (2, None, "upper-bound only (certified > 1)"),
+    (1, 2): (2, 4, "upper bound met"),
+    (2, 0): (3, None, "upper-bound only (certified > 2)"),
+    (2, 2): (3, 4, "upper bound met"),
+    (3, 0): (4, None, "upper-bound only (certified > 3)"),
+    (3, 2): (4, 4, "exact"),
+    (4, 0): (4, 4, "exact"),
+    (4, 2): (4, 4, "exact"),
+    (5, 0): (4, 4, "exact"),
+    (5, 2): (4, 4, "exact"),
+}
+
+
 class TestFixturesAndTable:
     def test_all_fixtures_load_and_build(self):
         names = fixture_names()
@@ -644,6 +733,42 @@ class TestFixturesAndTable:
         assert [r["row"] for r in rows] == ["table2_row01", "table2_row04"]
         assert all(r["match"] for r in rows)
         assert rows[0]["d_status"] == "exact"
+
+    def test_table2_rows_have_q_half_of_even_t(self):
+        """``table2`` leaves X unsearched once Z reaches the published d.
+        That holds because every row has even t and q = t/2: transposing
+        the Koszul complex gives that of the generators' antipodes with
+        degrees reversed, a qubit permutation of the same code, so its X
+        problem is its Z problem."""
+        for name in fixture_names():
+            if name.startswith("table2_row"):
+                cfg = load_fixture(name)
+                assert cfg.t % 2 == 0 and cfg.q_override in (None, cfg.t // 2)
+
+    def test_table2_searches_x_only_while_z_falls_short(self, monkeypatch):
+        """Row 01's Z search reaches the published d = 4 exactly, so no X
+        search runs; both types used to get an exhaustive pass."""
+        kinds, search = [], cp.distance_exhaustive
+
+        def recorded(code, kind, *args, **kwargs):
+            kinds.append(kind)
+            return search(code, kind, *args, **kwargs)
+
+        monkeypatch.setattr(cp, "distance_exhaustive", recorded)
+        rc, out = run(["table2", "1", "--iterations", "2"])
+        assert rc == EXIT_OK and json.loads(out)["d_status"] == "exact"
+        assert kinds and set(kinds) == {"Z"}
+
+    @pytest.mark.parametrize("w, iterations", sorted(ROW01_AT_BUDGET))
+    def test_table2_row01_at_the_budget_edge(self, w, iterations, monkeypatch):
+        """With ``MMCODES_BUDGET`` the charge of the search up to w, row 01
+        (n = 96, d = 4) is certified up to exactly w."""
+        monkeypatch.setenv("MMCODES_BUDGET", str(cp._enum_cost(96, w)))
+        rc, out = run(["table2", "1", "--iterations", str(iterations)])
+        row = json.loads(out)
+        assert rc == EXIT_OK
+        assert (row["d_lower"], row["d_upper"], row["d_status"]) == \
+            ROW01_AT_BUDGET[w, iterations]
 
     def test_table2_unknown_row(self):
         rc, _ = run(["table2", "99"])

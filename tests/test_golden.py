@@ -166,6 +166,10 @@ CLI_SHA256 = {
         "432d81b5198420ff9c0407ec17855028e566bf4df3a2e0e322261db72dc09a09",
     "table2 3 9 13 --iterations 20 --seed 1":
         "a4c0c9d064b4e8d3902f25660bca8509895de4948a21b4f0181e318346ffc796",
+    "table2 --iterations 50 --workers 1 --seed 0":
+        "f284f93a6cd5d4d561d71b582e7a05b61ceacd1669fb2b823980bc6d621b35ae",
+    "table2 --iterations 0":
+        "3a61c060705f824e7aa9908a49bff6991b90af9f1974695ef9a3d87dbbc238e6",
     "confine table2_row01 --type X --w-max 3":
         "308eecf6a79c0d96a1ebe36b356905b0d3007d6a695b0c8abd798e2dabc202a3",
     "confine table2_row02 --type Z --w-max 4 --mode cluster --seed 2":

@@ -1,7 +1,8 @@
 """Only ``gf2`` moves matrices between int rows and dense arrays: every
 other module builds, transforms and scores them as int rows, and uses
 numpy only to draw random numbers.  Every private function has a caller in
-``src``.  Under 0.1 s."""
+``src``.  Only the engines that charge an enumeration name its charge.
+Under 0.1 s."""
 
 import ast
 from pathlib import Path
@@ -109,3 +110,44 @@ def test_the_caller_walk_sees_an_unused_helper():
         "b": "from a import _called\n",
     }
     assert unused_private_functions(sources) == ["a:_used", "a:_method"]
+
+
+# The functions that may name ``codeparams._enum_cost``: the exhaustive
+# search, charged before it starts, and the confinement table, capped.
+CHARGED = {"low_weight_kernel_vectors", "confinement_profile"}
+
+
+def charge_uses(sources: dict[str, str]) -> list[str]:
+    """``module:function`` for each use of ``_enum_cost`` in ``sources``
+    outside its own definition, by the innermost enclosing function
+    (``<module>`` at module level)."""
+    out = []
+    for mod, text in sources.items():
+        def walk(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    walk(child, child.name)
+                    continue
+                name = (child.attr if isinstance(child, ast.Attribute)
+                        else child.id if isinstance(child, ast.Name)
+                        else child.name if isinstance(child, ast.alias) else None)
+                if name == "_enum_cost" and scope != "_enum_cost":
+                    out.append(f"{mod}:{scope}")
+                walk(child, scope)
+
+        walk(ast.parse(text), "<module>")
+    return out
+
+
+def test_only_the_charged_engines_name_the_charge():
+    """Deepening stops where ``low_weight_kernel_vectors`` refuses a level,
+    so no caller works out the charge for itself."""
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert {u.split(":")[1] for u in charge_uses(sources)} <= CHARGED
+
+
+def test_the_charge_walk_sees_a_caller():
+    sources = {"a": "def _enum_cost(n):\n    return _enum_cost(n - 1)\n\n"
+                    "def f(budget):\n    def g():\n        return a._enum_cost(3)\n"
+                    "    return g\n\nX = _enum_cost(2)\n"}
+    assert charge_uses(sources) == ["a:g", "a:<module>"]

@@ -58,11 +58,37 @@ class TestConfig:
     def test_confinement_weight_past_the_qubit_count(self):
         """A search never overrides q = t // 2, so orders (4,) at t = 2 give
         codes of C(2, 1)*4 = 8 qubits.  Past t = 16 no chain complex fits
-        its cap and no code is profiled, so no binomial is computed."""
+        its cap, and the config is refused before any binomial is computed."""
         base_config(orders=((4,), (6,)), confinement_w_max=8)
         with pytest.raises(SearchError, match="9 exceeds the 8 qubits .* orders \\[4\\]"):
             base_config(orders=((4,), (6,)), confinement_w_max=9)
-        base_config(t=10**9, confinement_w_max=10**9)
+        with pytest.raises(SearchError, match="t must be in 2..16"):
+            base_config(t=10**9, confinement_w_max=10**9)
+
+    @pytest.mark.parametrize("t", [-1, 0, 1, 17, 10**9])
+    def test_t_without_a_code_is_refused(self, t):
+        """t < 2 leaves no qubit degree; past 16 every chain complex passes
+        ``CHAIN_DIM_CAP``.  Every candidate would be a stage-1 rejection."""
+        with pytest.raises(SearchError, match="t must be in 2..16"):
+            base_config(t=t)
+
+    def test_largest_chain_under_the_cap_is_accepted(self):
+        assert base_config(t=16, orders=((1,),)).t == 16
+        with pytest.raises(SearchError, match="orders \\[2\\] at t=16: the chain "
+                           "complex has 131072 basis elements, over the cap 65536"):
+            base_config(t=16, orders=((1,), (2,)))
+
+    @pytest.mark.parametrize("t, order, message", [
+        (2, (10**22,), "group size 10000000000000000000000 exceeds the size budget"),
+        (2, (64, 65), "group size 4160 exceeds the size budget 4096"),
+        (5, (4096,), "the chain complex has 131072 basis elements"),
+    ])
+    def test_order_tuple_that_cannot_build_is_refused(self, t, order, message):
+        """Each order tuple must give a code at this t: |G| within
+        ``DEFAULT_SIZE_BUDGET`` and 2^t |G| within ``CHAIN_DIM_CAP``."""
+        base_config(t=t, orders=((4,), (2048,)))
+        with pytest.raises(SearchError, match=message):
+            base_config(t=t, orders=((4,), order))
 
 
 class TestSampling:
@@ -138,15 +164,15 @@ class TestEvaluate:
     def test_construction_error_becomes_stage1(self):
         spec = GroupSpec((200, 200))
         gens = [parse_poly("1+x", spec)] * 2
-        r = evaluate_candidate(gens, spec, base_config(orders=((200, 200),)))
+        r = evaluate_candidate(gens, spec, base_config())
         assert isinstance(r, Rejection) and r.stage == 1
 
     def test_chain_past_the_cap_becomes_stage1(self, monkeypatch):
         spec = GroupSpec((4,))
-        gens = [parse_poly("1+x", spec)] * 2
-        assert evaluate_candidate(gens, spec, base_config()) != Rejection(1)
+        gens, config = [parse_poly("1+x", spec)] * 2, base_config()
+        assert evaluate_candidate(gens, spec, config) != Rejection(1)
         monkeypatch.setattr(koszul, "CHAIN_DIM_CAP", 15)
-        assert evaluate_candidate(gens, spec, base_config()) == Rejection(1)
+        assert evaluate_candidate(gens, spec, config) == Rejection(1)
 
 
 class TestRunSearch:
