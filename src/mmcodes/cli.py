@@ -237,7 +237,6 @@ def cmd_params(args, out) -> int:
         confinement_w=_confinement_w(code, args.confinement_w, "params"),
         ss_w=args.ss_w,
         seed=args.seed,
-        workers=args.workers,
         budget=enum_budget(),
     )
     _emit(report.to_dict(), out)
@@ -254,8 +253,7 @@ def cmd_distance(args, out) -> int:
     except cp.MetacheckAbsent as exc:
         _emit({"name": cfg.name, "error": str(exc)}, out)
         return EXIT_VERIFY
-    bound = cp._escalate(code, kind, bound, args.iterations, args.seed, args.workers,
-                         budget=budget)
+    bound = cp._escalate(code, kind, bound, args.iterations, args.seed, budget=budget)
     _emit({"name": cfg.name, "type": args.type, **bound.to_dict()}, out)
     return EXIT_OK
 
@@ -351,8 +349,8 @@ def cmd_table2(args, out) -> int:
         bound = None
         for et in ("Z", "X"):
             b = cp._deepen(code, et, cp.distance_exhaustive(code, et, 1, budget), budget)
-            b = cp._escalate(code, et, b, args.iterations, args.seed, args.workers,
-                             stop_at=d_pub, budget=budget)
+            b = cp._escalate(code, et, b, args.iterations, args.seed, stop_at=d_pub,
+                             budget=budget)
             bound = b if bound is None else _lighter(bound, b)
             if bound.upper is not None and bound.upper <= d_pub:
                 break
@@ -428,14 +426,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=nonnegative_int, default=0)
-        sp.add_argument(
-            "--workers", type=positive_int, default=1,
-            help="number of RNG streams the randomized passes cycle through; "
-            "passes run sequentially",
-        )
-
     def command(name, func, help_text, **defaults):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("config")
@@ -457,7 +447,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--confinement-w", type=positive_int, default=None, dest="confinement_w"
     )
     pa.add_argument("--ss-w", type=positive_int, default=None, dest="ss_w")
-    common(pa)
+    pa.add_argument("--seed", type=nonnegative_int, default=0)
 
     for name, prefix, help_text in (
         ("distance", "", "distance bounds for one error type"),
@@ -467,7 +457,7 @@ def make_parser() -> argparse.ArgumentParser:
         d.add_argument("--type", choices=["X", "Z"], required=True)
         d.add_argument(_WEIGHT_FLAG[name], type=positive_int, default=4, dest="w_max")
         d.add_argument("--iterations", type=nonnegative_int, default=0)
-        common(d)
+        d.add_argument("--seed", type=nonnegative_int, default=0)
 
     c = command("confine", cmd_confine, "confinement profile")
     c.add_argument("--type", choices=["X", "Z"], required=True)
@@ -480,9 +470,8 @@ def make_parser() -> argparse.ArgumentParser:
     se.add_argument("--seed", type=nonnegative_int, default=None)
     se.add_argument(
         "--workers", type=positive_int, default=None,
-        help="number of RNG streams the candidates cycle through (default: "
-        "the config's); candidates are evaluated on up to this many "
-        "processes, capped at the usable CPUs, with the same output",
+        help="processes that evaluate candidates (default: the config's), "
+        "capped at the usable CPUs; the output does not depend on it",
     )
 
     e = command("export", cmd_export, "export one matrix")
@@ -495,7 +484,7 @@ def make_parser() -> argparse.ArgumentParser:
         "rows", nargs="*", type=positive_int, help="1-based row numbers; empty = all"
     )
     t.add_argument("--iterations", type=nonnegative_int, default=50)
-    common(t)
+    t.add_argument("--seed", type=nonnegative_int, default=0)
     t.set_defaults(func=cmd_table2)
 
     return p

@@ -285,7 +285,6 @@ def distance_randomized(
     kind: str,
     iterations: int,
     seed: int,
-    workers: int = 1,
     stop_at: int | None = None,
 ) -> DistanceBound:
     """Randomized upper bound on the lightest v != 0 in ker h outside the
@@ -295,29 +294,24 @@ def distance_randomized(
     and row pairs as codeword candidates.  The passes stop at a hit of
     weight <= ``stop_at``.  Among hits of the lightest weight, the witness
     is the first in lexicographic support order.  Deterministic given
-    (seed, workers).
-
-    ``workers`` only splits the randomness: pass ``it`` draws from stream
-    ``it mod workers``, seeded by (seed, stream), and only the streams
-    some pass draws from, min(workers, iterations), are built.  Nothing runs
-    concurrently; the passes run one after another in this process.
+    ``seed``.
     """
     h, stab = _select_check_pair(code, kind)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     gen = kernel_basis(h)
     if gen.rows == 0:
         return DistanceBound(lower=1, upper=None, witness=None)
     best_w, trivial = h.cols + 1, rref(stab)
     best_sup: int | None = None
-    streams = [np.random.default_rng([seed, w]) for w in range(min(workers, iterations))]
+    # Entropy [seed, 0] was the first of the streams the passes were once
+    # split over, and the only one at one worker: every bound recorded at
+    # one worker keeps its draws.
+    rng = np.random.default_rng([seed, 0])
     done = False
-    for it in range(iterations):
+    for _ in range(iterations):
         if done:
             break
-        rng = streams[it % workers]
         for w, sup in _isd_pass(gen, rng, best_w, trivial):
             if w > best_w:
                 break
@@ -356,7 +350,7 @@ def _deepen(code: MCssCode, kind: str, bound: DistanceBound,
 
 def _escalate(
     code: MCssCode, kind: str, bound: DistanceBound, iterations: int,
-    seed: int, workers: int, stop_at: int | None = None,
+    seed: int, stop_at: int | None = None,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> DistanceBound:
     """``bound`` if ``iterations < 1``; else ``bound`` deepened (``_deepen``)
@@ -368,7 +362,7 @@ def _escalate(
     bound = _deepen(code, kind, bound, budget)
     if bound.upper is not None:
         return bound
-    r = distance_randomized(code, kind, iterations, seed, workers, stop_at)
+    r = distance_randomized(code, kind, iterations, seed, stop_at)
     return replace(r, lower=bound.lower)
 
 
@@ -379,7 +373,6 @@ def single_shot_distance(
     iterations: int = 0,
     seed: int = 0,
     budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int = 1,
 ) -> DistanceBound:
     """Minimum weight of a syndrome passing the metachecks yet not realizable
     by any error: s in ker(M) minus the column space of the check matrix.
@@ -387,7 +380,7 @@ def single_shot_distance(
     ``check_type``, searched up to w_max and escalated like any other."""
     kind = "ss" + check_type
     bound = distance_exhaustive(code, kind, w_max, budget)
-    return _escalate(code, kind, bound, iterations, seed, workers, budget=budget)
+    return _escalate(code, kind, bound, iterations, seed, budget=budget)
 
 
 # ---- confinement ------------------------------------------------------
@@ -617,7 +610,6 @@ class CodeReport:
     d_s: int | None
     weights: CheckWeightStats
     seed: int
-    workers: int
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -635,7 +627,7 @@ def profile_min(*profiles: ConfinementProfile | None) -> int | None:
 
 def _report(
     code: MCssCode, name: str, k: int, d: dict[str, DistanceBound | None],
-    confinement_w: int | None, seed: int, workers: int, params: dict,
+    confinement_w: int | None, seed: int, params: dict,
 ) -> CodeReport:
     """The report on ``code`` from its bounds keyed by kind (see
     ``_select_check_pair``; a single-shot kind may be absent), adding the
@@ -648,7 +640,7 @@ def _report(
         name=name, n=code.n, k=k, d_x=d["X"], d_z=d["Z"], d_ss_x=d.get("ssX"),
         d_ss_z=d.get("ssZ"), confinement_x=conf["X"], confinement_z=conf["Z"],
         d_s=profile_min(*conf.values()), weights=check_weight_stats(code),
-        seed=seed, workers=workers, params=params,
+        seed=seed, params=params,
     )
 
 
@@ -660,7 +652,6 @@ def analyze(
     confinement_w: int | None = None,
     ss_w: int | None = None,
     seed: int = 0,
-    workers: int = 1,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> CodeReport:
     """Run the full parameter pipeline with the given search budgets: the X
@@ -670,10 +661,10 @@ def analyze(
     bounds = {}
     for et, m in (("X", code.m_x), ("Z", code.m_z)):
         b = distance_exhaustive(code, et, w_exhaustive, budget)
-        bounds[et] = _escalate(code, et, b, iterations, seed, workers, budget=budget)
+        bounds[et] = _escalate(code, et, b, iterations, seed, budget=budget)
         if ss_w is not None and m is not None:
             bounds["ss" + et] = single_shot_distance(code, et, ss_w, iterations, seed,
-                                                     budget, workers)
+                                                     budget)
     params = {"w_exhaustive": w_exhaustive, "iterations": iterations,
               "confinement_w": confinement_w, "ss_w": ss_w}
-    return _report(code, name, k, bounds, confinement_w, seed, workers, params)
+    return _report(code, name, k, bounds, confinement_w, seed, params)

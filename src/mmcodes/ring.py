@@ -162,10 +162,10 @@ def render(a: RingElem, names: tuple[str, ...] | None = None) -> str:
 def _names_for(spec: GroupSpec, names) -> tuple[str, ...]:
     if names is not None:
         names = tuple(names)
-        if len(names) != spec.dim:
-            raise RingError(
-                f"got {len(names)} variable names for {spec.dim} variables"
-            )
+        if not (len(set(names)) == len(names) == spec.dim
+                and all(len(v) == 1 and v.isalpha() for v in names)):
+            raise RingError(f"need {spec.dim} variable names, distinct single "
+                            f"letters, got {list(names)}")
         return names
     if spec.dim in DEFAULT_NAMES:
         return DEFAULT_NAMES[spec.dim]

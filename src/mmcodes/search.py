@@ -21,7 +21,7 @@ import numpy as np
 from . import codeparams as cp
 from .circulant import SizeBudgetExceeded
 from .koszul import CHAIN_DIM_CAP, _check_size, build_code
-from .ring import GroupSpec, RingElem, _names_for, parse_poly, render
+from .ring import GroupSpec, RingElem, RingError, parse_poly, render
 
 
 class SearchError(Exception):
@@ -82,7 +82,7 @@ class SearchConfig:
     confinement_w_max: int | None = None
     max_candidates: int = 100
     seed: int = 0
-    workers: int = 1
+    workers: int = 1  # processes evaluating candidates; the output is the same
     structured_families: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -92,17 +92,28 @@ class SearchConfig:
             raise SearchError(f"t must be in 2..{CHAIN_DIM_CAP.bit_length() - 1}: "
                               "below 2 no code has a qubit degree, and past that "
                               "every chain complex passes its cap")
-        if self.term_range[0] < 1 or self.term_range[0] > self.term_range[1]:
+        lo, hi = self.term_range
+        if lo < 1 or lo > hi:
             raise SearchError(f"bad term_range {self.term_range}")
         if self.max_candidates < 0:
             raise SearchError("max_candidates must be >= 0")
         if not self.orders:
             raise SearchError("need at least one candidate order tuple")
         for order in self.orders:
+            spec = GroupSpec(order)
             try:
-                _check_size(self.t, GroupSpec(order).size)
+                _check_size(self.t, spec.size)
             except SizeBudgetExceeded as exc:
                 raise SearchError(f"orders {list(order)} at t={self.t}: {exc}") from None
+            if not self.structured_families and lo > spec.size:
+                raise SearchError(f"term_range minimum {lo} exceeds the {spec.size} "
+                                  f"monomials of orders {list(order)}")
+            for i, template in enumerate(self.structured_families or ()):
+                try:  # every draw parses if this one does
+                    _instantiate_template(template, spec, range(spec.dim))
+                except (RingError, SearchError) as exc:
+                    raise SearchError(f"structured_families[{i}] over orders "
+                                      f"{list(order)}: {exc}") from None
         if self.seed < 0:
             raise SearchError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
@@ -141,25 +152,17 @@ class Rejection:
 _TEMPLATE_VAR = re.compile(r"v_([a-z])")
 
 
-def _instantiate_template(
-    template: str, spec: GroupSpec, rng: np.random.Generator
-) -> RingElem:
-    """Replace v_a, v_b, ... placeholders with a random assignment of
-    distinct variables, then parse."""
-    slots = []
-    for m in _TEMPLATE_VAR.finditer(template):
-        if m.group(1) not in slots:
-            slots.append(m.group(1))
+def _instantiate_template(template: str, spec: GroupSpec, perm) -> RingElem:
+    """``template`` over ``spec`` with its i-th distinct placeholder v_a,
+    v_b, ... standing for variable perm[i].  Each placeholder becomes that
+    variable's indexed form x<k> and a space, so whether the text parses
+    does not depend on ``perm``, and below ten variables a parse error's
+    offset is the template's."""
+    slots = dict.fromkeys(_TEMPLATE_VAR.findall(template))
     if len(slots) > spec.dim:
-        raise SearchError(
-            f"template {template!r} needs {len(slots)} distinct variables, "
-            f"spec has {spec.dim}"
-        )
-    names = _names_for(spec, None)
-    perm = rng.permutation(spec.dim)
-    assign = {s: names[int(perm[i])] for i, s in enumerate(slots)}
-    text = _TEMPLATE_VAR.sub(lambda m: assign[m.group(1)], template)
-    return parse_poly(text, spec)
+        raise SearchError(f"needs {len(slots)} distinct variables, has {spec.dim}")
+    assign = {s: f"x{int(k) + 1} " for s, k in zip(slots, perm)}
+    return parse_poly(_TEMPLATE_VAR.sub(lambda m: assign[m.group(1)], template), spec)
 
 
 def sample_generators(
@@ -171,13 +174,12 @@ def sample_generators(
     if config.structured_families:
         fam = config.structured_families
         return [
-            _instantiate_template(fam[int(rng.integers(len(fam)))], spec, rng)
+            _instantiate_template(fam[int(rng.integers(len(fam)))], spec,
+                                  rng.permutation(spec.dim))
             for _ in range(config.t)
         ]
     n = spec.size
     lo, hi = config.term_range
-    if lo > n:
-        raise SearchError(f"term_range minimum {lo} exceeds ring size {n}")
     hi = min(hi, n)
     gens = []
     for _ in range(config.t):
@@ -189,7 +191,10 @@ def sample_generators(
 
 
 def canonical_key(spec: GroupSpec, gens) -> tuple:
-    return (spec.orders, tuple(sorted(tuple(g.monomials) for g in gens)))
+    """The orders and the sorted generators, each as the int mask of its
+    monomial indices: equal exactly when the candidates are."""
+    masks = (sum(1 << spec.monomial_index(m) for m in g.monomials) for g in gens)
+    return (spec.orders, tuple(sorted(masks)))
 
 
 def evaluate_candidate(
@@ -213,14 +218,14 @@ def evaluate_candidate(
             return Rejection(3)
         bounds[et] = b
     for et in ("X", "Z"):
-        b = cp._escalate(code, et, bounds[et], iters, config.seed, config.workers)
+        b = cp._escalate(code, et, bounds[et], iters, config.seed)
         if b.upper is not None and b.upper < config.require_d_min:
             return Rejection(4)
         bounds[et] = b
     params = {"orders": list(spec.orders), "generators": [render(g) for g in gens],
               "w_exhaustive": w_exh, "iterations": iters}
     return cp._report(code, "search", k, bounds, config.confinement_w_max,
-                      config.seed, config.workers, params)
+                      config.seed, params)
 
 
 def _usable_cpus() -> int:
@@ -241,43 +246,44 @@ def run_search(config: SearchConfig, sink=None) -> list[cp.CodeReport]:
     """Evaluate max_candidates random candidates; write each accepted report
     (and a final telemetry record) to sink as JSONL; return the accepts.
 
-    Candidate i draws its rng stream from (seed, i mod workers,
-    i div workers), so results are reproducible for a fixed worker count.
-    Every candidate is sampled and deduplicated here first; the distinct
-    ones are then evaluated on min(workers, usable CPUs, distinct
-    candidates) forked processes, handed out one at a time and collected
-    in candidate order.  The reports therefore depend on (seed, workers)
-    only, never on how many processes ran.  With one process (or no fork
-    on this platform) the candidates are evaluated in this process.
+    Candidate i draws from the rng stream of entropy (seed, 0, i), which
+    was its stream at one worker when candidates were split over streams;
+    so the reports depend on the seed only.  Candidates are sampled as they
+    are handed out, and each one's ``canonical_key`` is kept to count and
+    skip repeats.  They are evaluated on min(workers, usable CPUs,
+    max_candidates) forked processes, handed out one at a time and
+    collected in candidate order, or in this process when that is one (or
+    this platform has no fork).
     """
     seen: set[tuple] = set()
-    candidates = []
     duplicates = 0
-    for i in range(config.max_candidates):
-        rng = np.random.default_rng(
-            [config.seed, i % config.workers, i // config.workers]
-        )
-        spec = GroupSpec(config.orders[int(rng.integers(len(config.orders)))])
-        gens = sample_generators(config, spec, rng)
-        key = canonical_key(spec, gens)
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
-        candidates.append((gens, spec, config))
+
+    def candidates():
+        nonlocal duplicates
+        for i in range(config.max_candidates):
+            rng = np.random.default_rng([config.seed, 0, i])
+            spec = GroupSpec(config.orders[int(rng.integers(len(config.orders)))])
+            gens = sample_generators(config, spec, rng)
+            key = canonical_key(spec, gens)
+            if key in seen:
+                duplicates += 1
+            else:
+                seen.add(key)
+                yield gens, spec, config
 
     accepted: list[cp.CodeReport] = []
     rejected_by_stage: dict[int, int] = {}
-    processes = min(config.workers, _usable_cpus(), len(candidates))
+    processes = min(config.workers, _usable_cpus(), config.max_candidates)
+    todo = candidates()
     with contextlib.ExitStack() as stack:
-        results = map(_evaluate, candidates)
+        results = map(_evaluate, todo)
         if processes > 1:
             import multiprocessing  # only a parallel search pays for it
 
             if "fork" in multiprocessing.get_all_start_methods():
                 ctx = multiprocessing.get_context("fork")
                 pool = stack.enter_context(ctx.Pool(processes))
-                results = pool.imap(_evaluate, candidates, chunksize=1)
+                results = pool.imap(_evaluate, todo, chunksize=1)
         for result in results:
             if isinstance(result, Rejection):
                 rejected_by_stage[result.stage] = (

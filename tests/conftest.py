@@ -12,11 +12,26 @@ from hypothesis import strategies as st
 
 from mmcodes.gf2 import BitMatrix
 from mmcodes.ring import GroupSpec, RingElem
+from mmcodes.search import SearchConfig
 
 # Every run draws the same examples, so the suite's outcome and time do not
 # depend on the run; each test's own ``max_examples`` still applies.
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
+
+# The benchmark's search workload configuration (``bench/workloads.py``), at
+# seed 0.
+BENCH_SEARCH = SearchConfig(
+    t=4,
+    orders=((2, 2, 2, 2), (2, 2, 2, 3)),
+    structured_families=("(1+v_a)(1+v_b v_c)", "1+v_a v_b"),
+    distance_budget=(3, 30),
+    require_k_min=2,
+    require_d_min=3,
+    max_candidates=50,
+    seed=0,
+    workers=2,
+)
 
 
 def naive_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

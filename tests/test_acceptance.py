@@ -215,7 +215,7 @@ def test_criterion_7_params_determinism(tmp_path):
     path.write_text(json.dumps(cfg))
     argv = [
         "params", str(path), "--w-exhaustive", "3", "--iterations", "10",
-        "--seed", "5", "--workers", "2", "--ss-w", "4",
+        "--seed", "5", "--ss-w", "4",
     ]
     outputs = set()
     for _ in range(3):

@@ -125,7 +125,7 @@ class TestVerifyParams:
             run(
                 [
                     "params", row1_config, "--w-exhaustive", "3",
-                    "--iterations", "5", "--seed", "11", "--workers", "2",
+                    "--iterations", "5", "--seed", "11",
                 ]
             )[1]
             for _ in range(3)
@@ -243,21 +243,6 @@ class TestBadInput:
         err = self.expect_usage_error(["table2", "22"], capsys)
         assert "rows 22:" in err and "1-21" in err and ".json" not in err
 
-    def test_distance_workers_zero(self, capsys):
-        err = self.expect_usage_error(
-            ["distance", ROW13, "--type", "Z", "--w-exhaustive", "2",
-             "--iterations", "2", "--workers", "0"],
-            capsys,
-        )
-        assert "--workers" in err
-
-    def test_distance_workers_negative(self, capsys):
-        self.expect_usage_error(
-            ["distance", ROW13, "--type", "Z", "--w-exhaustive", "2",
-             "--iterations", "2", "--workers", "-2"],
-            capsys,
-        )
-
     def test_distance_w_exhaustive_zero(self, capsys):
         err = self.expect_usage_error(
             ["distance", ROW13, "--type", "Z", "--w-exhaustive", "0"], capsys
@@ -306,7 +291,12 @@ class TestBadInput:
     @pytest.mark.parametrize("argv", [
         ["table2", "1", "--w-exhaustive", "4"],
         ["confine", ROW13, "--type", "Z", "--workers", "2"],
-    ], ids=["table2", "confine"])
+        ["params", ROW13, "--workers", "2"],
+        ["distance", ROW13, "--type", "Z", "--workers", "2"],
+        ["ssdist", ROW13, "--type", "Z", "--workers", "1"],
+        ["table2", "1", "--workers", "1"],
+    ], ids=["table2", "confine", "params-workers", "distance-workers",
+            "ssdist-workers", "table2-workers"])
     def test_removed_option(self, argv, capsys):
         err = self.expect_usage_error(argv, capsys)
         assert argv[-2] in err
@@ -344,6 +334,21 @@ class TestBadInput:
         p.write_text(json.dumps(config))
         err = self.expect_usage_error(["verify", str(p)], capsys)
         assert next(iter(patch)) in err
+
+    @pytest.mark.parametrize("variables, generators", [
+        (["x", "x"], ["1+x", "1+x"]),
+        (["1", "y"], ["1+y", "1+y"]),
+    ], ids=["repeated", "digit"])
+    def test_variable_names_are_distinct_letters(self, variables, generators,
+                                                 tmp_path, capsys):
+        """Both used to pass ``verify`` and leave the first variable with no
+        name a generator could use; with ["x", "x"], p_x and p_z had the same
+        hash."""
+        p = tmp_path / "code.json"
+        p.write_text(json.dumps({"t": 2, "orders": [3, 3], "generators": generators,
+                                 "variables": variables}))
+        err = self.expect_usage_error(["verify", str(p)], capsys)
+        assert "distinct single letters" in err
 
     @pytest.mark.parametrize(
         "field, value",
@@ -485,7 +490,8 @@ class TestBadInput:
         p.write_text(json.dumps({"t": 2, "orders": [[4]], "max_candidates": 2,
                                  "structured_families": ["1+v_a^" + "9" * 5000]}))
         err = self.expect_usage_error(["search", str(p)], capsys)
-        assert err == "error: integer of 5000 digits is too long (at offset 4)\n"
+        assert err == ("error: structured_families[0] over orders [4]: integer of "
+                       "5000 digits is too long (at offset 6)\n")
 
     @pytest.mark.parametrize("command, what", [("verify", "config"),
                                                ("search", "search config")])
@@ -667,15 +673,13 @@ CLI_SURFACE = {
     "build": {"config", "--out", "--format"},
     "verify": {"config"},
     "params": {"config", "--w-exhaustive", "--iterations", "--confinement-w",
-               "--ss-w", "--seed", "--workers"},
-    "distance": {"config", "--type", "--w-exhaustive", "--iterations", "--seed",
-                 "--workers"},
-    "ssdist": {"config", "--type", "--w-max", "--iterations", "--seed",
-               "--workers"},
+               "--ss-w", "--seed"},
+    "distance": {"config", "--type", "--w-exhaustive", "--iterations", "--seed"},
+    "ssdist": {"config", "--type", "--w-max", "--iterations", "--seed"},
     "confine": {"config", "--type", "--w-max", "--mode", "--seed"},
     "search": {"config", "--out", "--seed", "--workers"},
     "export": {"config", "--matrix", "--format", "--out"},
-    "table2": {"rows", "--iterations", "--seed", "--workers"},
+    "table2": {"rows", "--iterations", "--seed"},
 }
 
 

@@ -140,8 +140,8 @@ class TestDistanceRandomized:
         assert got.upper == want.upper
 
     def test_deterministic(self, row1):
-        a = cp.distance_randomized(row1, "Z", 10, seed=7, workers=2)
-        b = cp.distance_randomized(row1, "Z", 10, seed=7, workers=2)
+        a = cp.distance_randomized(row1, "Z", 10, seed=7)
+        b = cp.distance_randomized(row1, "Z", 10, seed=7)
         assert a == b
 
     def test_upper_is_valid_logical(self, row1):
@@ -157,28 +157,18 @@ class TestDistanceRandomized:
         b = cp.distance_randomized(code, "Z", 5, seed=0)
         assert b.upper is None
 
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_bad_workers(self, row1, workers):
-        with pytest.raises(ValueError, match="workers"):
-            cp.distance_randomized(row1, "Z", 5, seed=0, workers=workers)
-
-    def test_streams_only_for_the_passes_that_run(self, row1, monkeypatch):
-        """Two passes build two streams, whatever ``workers`` is, and draw
-        what they would with two workers.  Building all 10^7 would take
-        about 220 s and 10 GB."""
+    def test_passes_draw_from_one_stream(self, row1, monkeypatch):
+        """Every pass draws from the one stream of entropy (seed, 0), so a
+        bound depends on the seed alone."""
         seeds, make_rng = [], np.random.default_rng
 
-        def counted(seed):
+        def recorded(seed):
             seeds.append(seed)
-            if len(seeds) > 3:
-                raise AssertionError("built a stream that no pass draws from")
             return make_rng(seed)
 
-        monkeypatch.setattr(np.random, "default_rng", counted)
-        got = cp.distance_randomized(row1, "Z", 2, seed=5, workers=10**7)
-        monkeypatch.undo()
-        assert seeds == [[5, 0], [5, 1]]
-        assert got == cp.distance_randomized(row1, "Z", 2, seed=5, workers=2)
+        monkeypatch.setattr(np.random, "default_rng", recorded)
+        cp.distance_randomized(row1, "Z", 3, seed=5)
+        assert seeds == [[5, 0]]
 
 
 def reference_escalate(code, err_type, bound, iterations, seed):
@@ -483,30 +473,6 @@ class TestSingleShot:
         assert not (m.to_dense() @ s % 2).any()
         assert not in_rowspace(rref(transpose(p)), to_int(s))
         assert new.witness <= old.witness
-
-    def test_workers_split_the_streams(self):
-        """The information-set stage is ``distance_randomized`` of kind ssZ
-        with the caller's ``workers``, once the budget stops the deepening."""
-        code = build_from_config(load_fixture("tt72.json"))
-        got = cp.single_shot_distance(code, "Z", 1, iterations=10, seed=3, workers=2,
-                                      budget=cp._enum_cost(code.m_z.cols, 1))
-        isd = cp.distance_randomized(code, "ssZ", 10, 3, 2)
-        assert (got.upper, got.witness) == (isd.upper, isd.witness)
-
-    def test_workers_change_the_passes(self):
-        """On a pair whose passes find different witnesses on one and two
-        streams (row 13's X-distance pair posing as (M, P)), the bound
-        follows the two-stream ``distance_randomized``."""
-        code = build_from_config(load_fixture("table2_row13.json"))
-        h, stab = cp._select_check_pair(code, "X")
-        pair = dataclasses.replace(code, m_x=h, p_x=transpose(stab))
-        one, two = (
-            cp.single_shot_distance(pair, "X", 1, iterations=20, seed=2, workers=w)
-            for w in (1, 2)
-        )
-        isd = cp.distance_randomized(pair, "ssX", 20, 2, 2)
-        assert (two.upper, two.witness) == (isd.upper, isd.witness)
-        assert one.witness != two.witness
 
     def test_escalation_deepens_to_the_exact_distance(self):
         """Within the budget the escalation deepens the search from w_max

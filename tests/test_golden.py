@@ -7,7 +7,7 @@ was still written out separately in each command, and the three w=4
 confinement pins while exact confinement still rooted its clusters at every
 qubit.  Any rewrite of those kernels, of that escalation or of that
 enumeration must reproduce them byte for byte: the determinism contract
-promises identical reports for a fixed ``(seed, workers)``.
+promises identical reports for a fixed seed.
 
 Two pins were re-recorded on purpose when the single-shot distance moved
 onto the distance engine and its tie rule: the ``SINGLE_SHOT`` witness of
@@ -63,6 +63,26 @@ tt72 ... --confinement-w 3`` and ``test_confinement_search_stream_digest``.
 None of them crossed that budget, so only the ``fell_back`` key leaves
 their profiles.  Each new digest is that of the old output with every
 ``fell_back`` key deleted and each line dumped again with sorted keys.
+
+Pins were re-keyed, and some re-recorded, on purpose when ``workers`` left
+the distance engines and the reports, which now draw what one worker drew.
+Each new value is that of the old code at one worker and the same seed,
+with every report's ``workers`` key deleted and each line dumped again with
+sorted keys:
+
+* the ``RANDOMIZED`` and ``STOP_AT`` keys lose their workers entry; the six
+  seed-7 pins, recorded at two workers, keep their values, which one worker
+  gives as well;
+* ``distance table2_row13 ... --seed 7`` loses ``--workers 2`` and
+  ``table2 --iterations 50 --seed 0`` loses ``--workers 1``, with the same
+  digests;
+* ``params tt72 ... --seed 3`` loses ``--workers 2``, and its digest is
+  that of one worker;
+* ``params table2_row13 ...`` and ``params table2_row01 ...`` lose the
+  ``workers`` key only;
+* ``test_search_stream_digest`` and ``test_confinement_search_stream_digest``
+  run the benchmark's search config, at two workers: their reports are those
+  of one worker, and the footer still records ``"workers": 2``.
 """
 
 import dataclasses
@@ -75,49 +95,51 @@ import pytest
 
 from mmcodes import codeparams as cp
 from mmcodes.cli import build_from_config, load_fixture, main
-from mmcodes.search import SearchConfig, run_search
+from mmcodes.search import run_search
+
+from conftest import BENCH_SEARCH
 
 ISD_ITERATIONS = 20
 
 RANDOMIZED = {
-    ("table2_row01", "X", 0, 1): {"lower": 1, "upper": 4, "witness": [4, 7, 13, 14]},
-    ("table2_row01", "X", 7, 2): {"lower": 1, "upper": 4, "witness": [0, 3, 9, 10]},
-    ("table2_row01", "Z", 0, 1): {"lower": 1, "upper": 4, "witness": [1, 7, 11, 13]},
-    ("table2_row01", "Z", 7, 2): {"lower": 1, "upper": 4, "witness": [1, 7, 11, 13]},
-    ("table2_row13", "X", 0, 1): {
+    ("table2_row01", "X", 0): {"lower": 1, "upper": 4, "witness": [4, 7, 13, 14]},
+    ("table2_row01", "X", 7): {"lower": 1, "upper": 4, "witness": [0, 3, 9, 10]},
+    ("table2_row01", "Z", 0): {"lower": 1, "upper": 4, "witness": [1, 7, 11, 13]},
+    ("table2_row01", "Z", 7): {"lower": 1, "upper": 4, "witness": [1, 7, 11, 13]},
+    ("table2_row13", "X", 0): {
         "lower": 1, "upper": 9, "witness": [2, 3, 7, 11, 12, 16, 20, 21, 25],
     },
-    ("table2_row13", "X", 7, 2): {
+    ("table2_row13", "X", 7): {
         "lower": 1, "upper": 9, "witness": [81, 82, 83, 84, 85, 86, 87, 88, 89],
     },
-    ("table2_row13", "Z", 0, 1): {
+    ("table2_row13", "Z", 0): {
         "lower": 1, "upper": 9,
         "witness": [270, 274, 278, 279, 283, 287, 288, 292, 296],
     },
-    ("table2_row13", "Z", 7, 2): {
+    ("table2_row13", "Z", 7): {
         "lower": 1, "upper": 9,
         "witness": [234, 235, 236, 237, 238, 239, 240, 241, 242],
     },
-    ("tt72", "X", 0, 1): {
+    ("tt72", "X", 0): {
         "lower": 1, "upper": 12,
         "witness": [6, 8, 18, 21, 22, 23, 49, 51, 61, 62, 64, 65],
     },
-    ("tt72", "X", 7, 2): {
+    ("tt72", "X", 7): {
         "lower": 1, "upper": 12,
         "witness": [7, 8, 9, 10, 18, 22, 48, 50, 51, 53, 61, 65],
     },
-    ("tt72", "Z", 0, 1): {"lower": 1, "upper": 6, "witness": [1, 9, 12, 28, 52, 61]},
-    ("tt72", "Z", 7, 2): {"lower": 1, "upper": 6, "witness": [0, 4, 8, 52, 57, 60]},
+    ("tt72", "Z", 0): {"lower": 1, "upper": 6, "witness": [1, 9, 12, 28, 52, 61]},
+    ("tt72", "Z", 7): {"lower": 1, "upper": 6, "witness": [0, 4, 8, 52, 57, 60]},
 }
 
-# (fixture, type, iterations, seed, workers, stop_at) -> bound.  Both cases
+# (fixture, type, iterations, seed, stop_at) -> bound.  Both cases
 # stop early on a witness that a full run would replace.
 STOP_AT = {
-    ("table2_row13", "X", 30, 2, 1, 12): {
+    ("table2_row13", "X", 30, 2, 12): {
         "lower": 1, "upper": 12,
         "witness": [20, 21, 25, 46, 50, 51, 54, 58, 62, 72, 76, 80],
     },
-    ("tt72", "X", 30, 0, 1, 12): {
+    ("tt72", "X", 30, 0, 12): {
         "lower": 1, "upper": 12,
         "witness": [9, 11, 18, 19, 21, 22, 50, 52, 60, 61, 62, 65],
     },
@@ -133,40 +155,29 @@ SINGLE_SHOT = {
 }
 
 # The benchmark's search workload configuration, at seed 0.
-SEARCH = SearchConfig(
-    t=4,
-    orders=((2, 2, 2, 2), (2, 2, 2, 3)),
-    structured_families=("(1+v_a)(1+v_b v_c)", "1+v_a v_b"),
-    distance_budget=(3, 30),
-    require_k_min=2,
-    require_d_min=3,
-    max_candidates=50,
-    seed=0,
-    workers=2,
-)
-SEARCH_SHA256 = "61d0ac44e0a3a5753071a29d2df7ffd35f59cfe698ac25097ec85e32f1e88c58"
+SEARCH = BENCH_SEARCH
+SEARCH_SHA256 = "677d12aa49abcd42d75957821338c3ee453832a8873fa59af6628da337f40fc0"
 
 # The same search, shorter, with confinement profiles on accepted candidates.
 CONFINE_SEARCH = dataclasses.replace(
     SEARCH, distance_budget=(3, 10), max_candidates=12, confinement_w_max=3
 )
 CONFINE_SEARCH_SHA256 = (
-    "0c455e79818603e7e1aa1bd77f292145c28c639e5776b41f20271ea16a004dc0"
+    "25d8542d12ef788841694566551330d98853c8b3ed809f1dd50fb6c89e119c58"
 )
 
 # CLI argv (fixture name in place of the config path) -> sha256 of stdout.
 CLI_SHA256 = {
     "params tt72 --w-exhaustive 2 --iterations 20 --ss-w 2 --confinement-w 3"
-    " --seed 3 --workers 2":
-        "549d88afc20123f2eea961ac17ebd06c095487f3c15ccf8edaf27a7d6491acba",
+    " --seed 3":
+        "6a8bd7064081d8561bb2b636e1584013b9124538468bf5bad067dca190cb3736",
     "params table2_row13 --w-exhaustive 3 --iterations 10 --seed 1":
-        "94361ea4d6610c72c565c53659a8e5435f940d0e6119c8fcc63f53e3e768e946",
-    "distance table2_row13 --type X --w-exhaustive 3 --iterations 20 --seed 7"
-    " --workers 2":
+        "bd1576aaf1b7e1b0b3a9fc6fa950094fd8cbc27cf07cca4beecc65f981e06838",
+    "distance table2_row13 --type X --w-exhaustive 3 --iterations 20 --seed 7":
         "432d81b5198420ff9c0407ec17855028e566bf4df3a2e0e322261db72dc09a09",
     "table2 3 9 13 --iterations 20 --seed 1":
         "a4c0c9d064b4e8d3902f25660bca8509895de4948a21b4f0181e318346ffc796",
-    "table2 --iterations 50 --workers 1 --seed 0":
+    "table2 --iterations 50 --seed 0":
         "f284f93a6cd5d4d561d71b582e7a05b61ceacd1669fb2b823980bc6d621b35ae",
     "table2 --iterations 0":
         "3a61c060705f824e7aa9908a49bff6991b90af9f1974695ef9a3d87dbbc238e6",
@@ -180,7 +191,7 @@ CLI_SHA256 = {
         "c6397b927032e431ea2edb7d30b4593850e3344b50d8b2720803d77622f4a83f",
     "params table2_row01 --w-exhaustive 4 --iterations 20 --ss-w 4"
     " --confinement-w 4 --seed 0":
-        "4494532759611a58e192cc1a10a37943b8ede511fa00009aed42d504530768d7",
+        "a8b872ef1f2df35d5ded1d5c6579d9d4fa27e74f422370e83946e63ccf8d6a99",
     "confine table2_row09 --type Z --w-max 4 --mode cluster --seed 0":
         "15b7e12cbb1ebfa32bad3d24e709dd709d7ced9c893783eabdd4e5392f79c58c",
     "confine table2_row09 --type Z --w-max 4":
@@ -208,18 +219,16 @@ def fixture_code(name):
 
 @pytest.mark.parametrize("key", sorted(RANDOMIZED), ids=key_id)
 def test_distance_randomized(key):
-    name, et, seed, workers = key
-    bound = cp.distance_randomized(
-        fixture_code(name), et, ISD_ITERATIONS, seed, workers
-    )
+    name, et, seed = key
+    bound = cp.distance_randomized(fixture_code(name), et, ISD_ITERATIONS, seed)
     assert bound.to_dict() == RANDOMIZED[key]
 
 
 @pytest.mark.parametrize("key", sorted(STOP_AT), ids=key_id)
 def test_distance_randomized_stop_at(key):
-    name, et, iterations, seed, workers, stop_at = key
+    name, et, iterations, seed, stop_at = key
     bound = cp.distance_randomized(
-        fixture_code(name), et, iterations, seed, workers, stop_at=stop_at
+        fixture_code(name), et, iterations, seed, stop_at=stop_at
     )
     assert bound.to_dict() == STOP_AT[key]
 

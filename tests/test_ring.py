@@ -118,6 +118,12 @@ class TestParse:
         e = parse_poly("1+x+s+x^2", s, names=("x", "s"))
         assert e == RingElem(s, ((0, 0), (1, 0), (0, 1), (2, 0)))
 
+    @pytest.mark.parametrize("names", [("x", "x"), ("1", "y"), ("xy", "z"), ("", "z")])
+    def test_names_must_be_distinct_letters(self, names):
+        """Otherwise some variable has no name a generator could use."""
+        with pytest.raises(RingError, match="distinct single letters"):
+            parse_poly("1", GroupSpec((3, 3)), names=names)
+
     def test_unknown_variable_offset(self):
         with pytest.raises(ParseError) as ei:
             parse_poly("1+q", GroupSpec((2, 2)))

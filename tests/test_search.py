@@ -1,10 +1,13 @@
+import dataclasses
 import io
 import json
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ import mmcodes
 from mmcodes import codeparams as cp
 from mmcodes import koszul, search
 from mmcodes.circulant import SizeBudgetExceeded
+from mmcodes.cli import EXIT_USAGE, main
 from mmcodes.gf2 import DimensionMismatch
 from mmcodes.koszul import build_code
 from mmcodes.ring import GroupSpec, ParseError, parse_poly, render, weight
@@ -26,6 +30,8 @@ from mmcodes.search import (
     run_search,
     sample_generators,
 )
+
+from conftest import BENCH_SEARCH
 
 
 def base_config(**kw):
@@ -73,10 +79,10 @@ class TestConfig:
             base_config(t=t)
 
     def test_largest_chain_under_the_cap_is_accepted(self):
-        assert base_config(t=16, orders=((1,),)).t == 16
+        assert base_config(t=16, orders=((1,),), term_range=(1, 1)).t == 16
         with pytest.raises(SearchError, match="orders \\[2\\] at t=16: the chain "
                            "complex has 131072 basis elements, over the cap 65536"):
-            base_config(t=16, orders=((1,), (2,)))
+            base_config(t=16, orders=((1,), (2,)), term_range=(1, 1))
 
     @pytest.mark.parametrize("t, order, message", [
         (2, (10**22,), "group size 10000000000000000000000 exceeds the size budget"),
@@ -89,6 +95,28 @@ class TestConfig:
         base_config(t=t, orders=((4,), (2048,)))
         with pytest.raises(SearchError, match=message):
             base_config(t=t, orders=((4,), order))
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"orders": [[9]] * 7 + [[2]], "term_range": [3, 4]},
+         r"term_range minimum 3 exceeds the 2 monomials of orders \[2\]"),
+        ({"orders": [[3, 3, 3], [3, 3]], "structured_families": ["1+v_a v_b v_c"]},
+         r"orders \[3, 3\]: needs 3 distinct variables, has 2"),
+        ({"orders": [[3, 3]], "structured_families": ["1+v_a2"]},
+         "unexpected character '2'"),
+        ({"orders": [[3, 3]],
+          "structured_families": ["1+v_a", "1+v_a v_b", "1+v_b v_a", "(1+v_a"]},
+         "expected '\\)'"),
+    ], ids=["term-range", "slots", "parse-by-variable", "parse-by-template"])
+    def test_refused_at_every_seed(self, doc, message, tmp_path, capsys):
+        """Each config used to be refused only at the seeds that drew its bad
+        order, template or variable ("1+v_a2" parsed as "1+x2" but not as
+        "1+y2"), and to search at the others."""
+        p = tmp_path / "search.json"
+        p.write_text(json.dumps({"t": 2, "max_candidates": 1, **doc}))
+        for seed in range(10):
+            rc = main(["search", str(p), "--seed", str(seed)], out=io.StringIO())
+            assert rc == EXIT_USAGE
+            assert re.search(message, capsys.readouterr().err)
 
 
 class TestSampling:
@@ -114,9 +142,8 @@ class TestSampling:
             assert all(weight(g) == 4 for g in gens)
 
     def test_term_count_exceeds_ring(self):
-        cfg = base_config(term_range=(9, 9))
-        with pytest.raises(SearchError):
-            sample_generators(cfg, GroupSpec((4,)), np.random.default_rng(0))
+        with pytest.raises(SearchError, match="minimum 9 exceeds the 4 monomials"):
+            base_config(term_range=(9, 9))
 
     def test_structured_template(self):
         cfg = base_config(
@@ -130,9 +157,8 @@ class TestSampling:
         assert all(weight(g) == 4 for g in gens)
 
     def test_template_needs_enough_variables(self):
-        cfg = base_config(structured_families=("(1+v_a)(1+v_b v_c)",))
-        with pytest.raises(SearchError):
-            sample_generators(cfg, GroupSpec((4,)), np.random.default_rng(0))
+        with pytest.raises(SearchError, match="needs 3 distinct variables"):
+            base_config(structured_families=("(1+v_a)(1+v_b v_c)",))
 
 
 class TestEvaluate:
@@ -220,6 +246,38 @@ class TestRunSearch:
             assert again.d_x.lower == rep.d_x.lower
             assert again.d_z.lower == rep.d_z.lower
 
+    def test_candidates_are_sampled_as_they_are_evaluated(self, monkeypatch):
+        """Only each candidate's key is kept once it is handed out: a search
+        of 10^9 candidates draws one before its first evaluation."""
+        sampled, sample = [], search.sample_generators
+
+        def counted(*args):
+            sampled.append(args)
+            return sample(*args)
+
+        def fail(candidate):
+            raise RuntimeError("first evaluation")
+
+        monkeypatch.setattr(search, "sample_generators", counted)
+        monkeypatch.setattr(search, "_evaluate", fail)
+        with pytest.raises(RuntimeError, match="first evaluation"):
+            run_search(base_config(max_candidates=10**9))
+        assert len(sampled) == 1
+
+    def test_key_is_the_orders_and_the_generator_multiset(self):
+        spec = GroupSpec((2, 3))
+        gens = [parse_poly(p, spec) for p in ("1", "x", "1+x", "y+x*y^2", "y+1", "1+y")]
+        picks = list(combinations_with_replacement(range(len(gens)), 2))
+        for a, b in product(picks, repeat=2):
+            same = (sorted(gens[i].monomials for i in a)
+                    == sorted(gens[i].monomials for i in b))
+            keys = [canonical_key(spec, [gens[i] for i in pick]) for pick in (a, b)]
+            assert (keys[0] == keys[1]) == same
+        assert canonical_key(spec, gens) == canonical_key(spec, gens[::-1])
+        flipped = GroupSpec((3, 2))
+        assert (canonical_key(flipped, [parse_poly("1", flipped)])
+                != canonical_key(spec, [parse_poly("1", spec)]))
+
     def test_jsonl_records_parse(self):
         cfg = base_config(
             t=2, orders=((4,),), term_range=(1, 3), max_candidates=15,
@@ -275,6 +333,26 @@ class TestPool:
         assert multiprocessing.active_children() == []
         footer = json.loads(serial.splitlines()[-1])
         assert footer["accepted"] > 0 and footer["rejected_by_stage"]
+
+    def test_report_lines_do_not_depend_on_workers(self, monkeypatch, pool_sizes):
+        """The benchmark's search at seeds 0-9 reports the same lines at 1, 2
+        and 3 workers, in this process and on a pool; only the footer
+        records ``workers``."""
+
+        def reports(seed, workers, cpus):
+            monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+            config = dataclasses.replace(BENCH_SEARCH, seed=seed, workers=workers)
+            *lines, footer = stream(config).splitlines()
+            assert json.loads(footer)["workers"] == workers
+            return lines
+
+        for seed in range(10):
+            want = reports(seed, 1, 1)
+            assert want
+            for workers in (2, 3):
+                assert reports(seed, workers, 1) == want
+                assert reports(seed, workers, workers) == want
+        assert pool_sizes == [2, 3] * 10
 
     def test_processes_capped_at_usable_cpus(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
