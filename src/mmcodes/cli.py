@@ -32,11 +32,10 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-SCHEMA_VERSION = 1
-
-# The option that sets each command's enumeration weight.
+# The option or search-config field that sets each command's enumeration
+# weight.
 _WEIGHT_FLAG = {"params": "--w-exhaustive", "distance": "--w-exhaustive",
-                "ssdist": "--w-max"}
+                "ssdist": "--w-max", "search": "distance_budget[0]"}
 # The option or search-config field that sets each command's confinement
 # weight, the one knob of the confinement table's size.
 _CONFINE_FLAG = {"confine": "--w-max", "params": "--confinement-w",
@@ -142,7 +141,7 @@ def _matrices(code: MCssCode) -> dict:
 def manifest(code: MCssCode, cfg: BuildConfig) -> dict:
     mats = _matrices(code)
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": cp.SCHEMA_VERSION,
         "name": cfg.name,
         "n": code.n,
         "t": code.t,
@@ -310,11 +309,6 @@ def load_fixture(name: str) -> BuildConfig:
     return config_from_dict(json.loads(path.read_text()), Path(name).stem)
 
 
-def _lighter(a: cp.DistanceBound, b: cp.DistanceBound) -> cp.DistanceBound:
-    """The bound with the lighter witness; ``a`` on a tie or without one."""
-    return b if b.upper is not None and (a.upper is None or b.upper < a.upper) else a
-
-
 def _medians(ws: list[int]) -> tuple[int, float]:
     """(lower median, arithmetic median); published tables round with the
     arithmetic convention for even counts."""
@@ -342,18 +336,13 @@ def cmd_table2(args, out) -> int:
         code = build_from_config(cfg)
         k = cp.logical_count(code)
         d_pub = pub["d"]
-        # Each type is certified from weight 1 at any --iterations; the passes
-        # hunt only for the published d.  X is skipped once Z reaches it: each
-        # row has t = 4 and q = 2, where the transposed complex is that of the
-        # generators' antipodes, a qubit permutation of this one: d_X = d_Z.
-        bound = None
-        for et in ("Z", "X"):
-            b = cp._deepen(code, et, cp.distance_exhaustive(code, et, 1, budget), budget)
-            b = cp._escalate(code, et, b, args.iterations, args.seed, stop_at=d_pub,
-                             budget=budget)
-            bound = b if bound is None else _lighter(bound, b)
-            if bound.upper is not None and bound.upper <= d_pub:
-                break
+        # Z is certified from weight 1 at any --iterations; the passes hunt
+        # only for the published d.  Each row has t = 4 and q = 2, where the
+        # transposed complex is that of the generators' antipodes, a qubit
+        # permutation of this one: d_X = d_Z, so Z's bound is the row's.
+        bound = cp.distance_exhaustive(code, "Z", 1, budget)
+        bound = cp._escalate(code, "Z", cp._deepen(code, "Z", bound, budget),
+                             args.iterations, args.seed, stop_at=d_pub, budget=budget)
         weights = [w for m in (code.p_x, code.p_z) for w in m.row_weights()]
         lower_med, arith_med = _medians(weights)
         checks = {
@@ -510,9 +499,10 @@ def main(argv=None, out=None) -> int:
         if isinstance(exc, cp.TableTooLarge):  # MMCODES_BUDGET does not size it
             sys.stderr.write(f"hint: lower {_CONFINE_FLAG[args.command]}\n")
         elif isinstance(exc, cp.BudgetExceeded):  # the group size has no flag
-            flag = _WEIGHT_FLAG.get(args.command)
-            lower = f"lower {flag} or " if flag else ""
-            sys.stderr.write(f"hint: {lower}raise MMCODES_BUDGET\n")
+            hints = [f"lower {flag}"] if (flag := _WEIGHT_FLAG.get(args.command)) else []
+            if args.command != "search":  # search runs at the default budget
+                hints.append("raise MMCODES_BUDGET")
+            sys.stderr.write(f"hint: {' or '.join(hints)}\n")
         return EXIT_BUDGET
     except (KoszulError, GF2Error, formats.FormatError) as exc:
         sys.stderr.write(f"error: {exc}\n")

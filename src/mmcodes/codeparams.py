@@ -8,7 +8,8 @@ Distance search works in two regimes:
   checks are translation invariant, finds every minimal kernel vector of
   weight <= w_max up to translation, and so the lightest logical up to it;
 * randomized: information-set style sampling over the kernel basis, giving
-  upper bounds only.
+  upper bounds only; each pass (``_isd_pass``) returns its best hit outside
+  the stabilizer row space, the one membership test of the passes.
 
 Escalating from the first to the second (``_escalate``) deepens the
 exhaustive search one weight at a time while the budget allows
@@ -28,6 +29,8 @@ from .circulant import _count_text
 from .gf2 import BitMatrix, _eliminate, kernel_basis, in_rowspace, rank, rref, transpose
 from .koszul import MCssCode
 
+# The version of the reports' and manifests' JSON layout.
+SCHEMA_VERSION = 1
 DEFAULT_ENUM_BUDGET = 10**9
 # Entries the coset table of ``confinement_profile`` may hold, in either
 # mode.  A table takes 90-115 bytes per entry, so this is 1.8-2.3 GB.
@@ -251,20 +254,20 @@ def distance_exhaustive(
     return DistanceBound(lower=w_max + 1, upper=None, witness=None)
 
 
-def _isd_pass(gen: BitMatrix, rng: np.random.Generator, best_w: int, trivial):
+def _isd_pass(gen: BitMatrix, rng: np.random.Generator, best_w: int,
+              trivial) -> tuple[int, int] | None:
     """One information-set iteration (Prange): row-reduce with the pivot
-    columns in random order (``gf2._eliminate``), and yield the rows and
-    row pairs of the result with weight below ``best_w`` as (weight,
-    support) pairs, in ascending (weight, support-int) order.  An unbounded
-    ``best_w`` (past the column count) falls to one more than the lightest
-    row outside the row space cached by ``trivial``: a caller after the
-    lightest candidate outside it never reads past that row.
+    columns in random order (``gf2._eliminate``), and return the lightest
+    row or row pair of the result below ``best_w`` and outside the row
+    space cached by ``trivial`` as (weight, support), the first in
+    lexicographic support order among equal weights; None if there is
+    none.  The one place an information-set pass tests membership.
 
-    The rows of an RREF are nonzero and independent, so no candidate is 0
-    and none repeats.  Each weight group is sorted only when it is reached,
-    so a caller that stops at the first group it can no longer use never
-    pays for the heavier ones.  Draws exactly one
-    ``rng.permutation(gen.cols)``.
+    An unbounded ``best_w`` (past the column count) first falls to one more
+    than the lightest row outside that row space, which the hit cannot
+    outweigh: this caps the candidates a first pass keeps.  The rows of an
+    RREF are nonzero and independent, so no candidate is 0 and none
+    repeats.  Draws exactly one ``rng.permutation(gen.cols)``.
     """
     rows = _eliminate(gen, rng.permutation(gen.cols).tolist()).pivot_rows
     if best_w > gen.cols:
@@ -277,7 +280,9 @@ def _isd_pass(gen: BitMatrix, rng: np.random.Generator, best_w: int, trivial):
             if (w := x.bit_count()) < best_w:
                 groups.setdefault(w, []).append(x)
     for w in sorted(groups):
-        yield from ((w, sup) for sup in sorted(groups[w]))
+        if hits := [x for x in groups[w] if not in_rowspace(trivial, x)]:
+            return w, min(hits, key=_support_key)
+    return None
 
 
 def distance_randomized(
@@ -291,37 +296,27 @@ def distance_randomized(
     row space of stab, (h, stab) the pair of ``kind`` (see
     ``_select_check_pair``), via information-set sampling: random column
     permutation, row reduction of the kernel generators, then single rows
-    and row pairs as codeword candidates.  The passes stop at a hit of
-    weight <= ``stop_at``.  Among hits of the lightest weight, the witness
-    is the first in lexicographic support order.  Deterministic given
+    and row pairs as codeword candidates (``_isd_pass``).  A pass hits only
+    below the best weight so far, so the witness is the first in
+    lexicographic support order among the lightest hits of the first pass
+    to reach its weight.  The passes stop after one whose hit weighs <=
+    ``stop_at``.  Without a kernel no pass hits.  Deterministic given
     ``seed``.
     """
     h, stab = _select_check_pair(code, kind)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    gen = kernel_basis(h)
-    if gen.rows == 0:
-        return DistanceBound(lower=1, upper=None, witness=None)
-    best_w, trivial = h.cols + 1, rref(stab)
-    best_sup: int | None = None
+    gen, trivial = kernel_basis(h), rref(stab)
+    best_w, best_sup = h.cols + 1, None
     # Entropy [seed, 0] was the first of the streams the passes were once
     # split over, and the only one at one worker: every bound recorded at
     # one worker keeps its draws.
     rng = np.random.default_rng([seed, 0])
-    done = False
     for _ in range(iterations):
-        if done:
-            break
-        for w, sup in _isd_pass(gen, rng, best_w, trivial):
-            if w > best_w:
+        if hit := _isd_pass(gen, rng, best_w, trivial):
+            best_w, best_sup = hit
+            if stop_at is not None and best_w <= stop_at:
                 break
-            if w < best_w or (w == best_w and best_sup is not None
-                              and _support_key(sup) < _support_key(best_sup)):
-                if not in_rowspace(trivial, sup):
-                    best_w, best_sup = w, sup
-                    if stop_at is not None and best_w <= stop_at:
-                        done = True
-                        break
     if best_sup is None:
         return DistanceBound(lower=1, upper=None, witness=None)
     return DistanceBound(lower=1, upper=best_w, witness=_support_key(best_sup))
@@ -617,7 +612,7 @@ class CodeReport:
         entries, plus the report's ``schema_version``."""
         doc = _plain(self)
         doc.update(doc.pop("weights"))
-        return {"schema_version": 1, **doc}
+        return {"schema_version": SCHEMA_VERSION, **doc}
 
 
 def profile_min(*profiles: ConfinementProfile | None) -> int | None:

@@ -4,7 +4,8 @@ Candidates pass through staged filters (construction, logical count,
 certified low-weight distance, then that search deepened within the budget
 and, past it, randomized distance; optional confinement);
 accepted candidates stream out as JSONL records, followed by a telemetry
-footer with per-stage rejection counters.
+footer with per-stage rejection counters.  A low-weight search charged past
+the budget ends the search with ``BudgetExceeded``; it is not a rejection.
 """
 
 from __future__ import annotations
@@ -210,10 +211,7 @@ def evaluate_candidate(
     w_exh, iters = config.distance_budget
     bounds = {}
     for et in ("X", "Z"):
-        try:
-            b = cp.distance_exhaustive(code, et, w_exh)
-        except cp.BudgetExceeded:
-            return Rejection(3)
+        b = cp.distance_exhaustive(code, et, w_exh)
         if b.upper is not None and b.upper < config.require_d_min:
             return Rejection(3)
         bounds[et] = b

@@ -395,6 +395,23 @@ class TestBadInput:
         err = self.expect_usage_error(argv, capsys)
         assert err.startswith(f"mmcodes {argv[0]}: error: MMCODES_BUDGET")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_search_exhaustive_weight_over_the_budget(self, workers, tmp_path, capsys):
+        """A ``distance_budget[0]`` whose search is charged over the default
+        budget exits 3 with a hint to lower it, on a pool too; every
+        candidate used to count as a stage-3 rejection, with exit 0.  The
+        hint does not name MMCODES_BUDGET, which ``search`` does not read."""
+        p = tmp_path / "search.json"
+        p.write_text(json.dumps({
+            "t": 4, "orders": [[2, 2, 2, 2]], "distance_budget": [7, 0],
+            "max_candidates": 5, "require_k_min": 0, "workers": workers,
+        }))
+        rc, out = run(["search", str(p)])
+        assert rc == EXIT_BUDGET and out == ""
+        assert capsys.readouterr().err == (
+            "error: enumeration needs ~1.29e+10 steps, over the budget 1e+09\n"
+            "hint: lower distance_budget[0]\n")
+
     def test_table2_budget_below_one_weight(self, monkeypatch, capsys):
         monkeypatch.setenv("MMCODES_BUDGET", "7")
         rc, out = run(["table2", "1", "--iterations", "0"])
@@ -739,7 +756,7 @@ class TestFixturesAndTable:
         assert rows[0]["d_status"] == "exact"
 
     def test_table2_rows_have_q_half_of_even_t(self):
-        """``table2`` leaves X unsearched once Z reaches the published d.
+        """``table2`` certifies Z alone and reports Z's bound as the row's.
         That holds because every row has even t and q = t/2: transposing
         the Koszul complex gives that of the generators' antipodes with
         degrees reversed, a qubit permutation of the same code, so its X
@@ -749,9 +766,10 @@ class TestFixturesAndTable:
                 cfg = load_fixture(name)
                 assert cfg.t % 2 == 0 and cfg.q_override in (None, cfg.t // 2)
 
-    def test_table2_searches_x_only_while_z_falls_short(self, monkeypatch):
-        """Row 01's Z search reaches the published d = 4 exactly, so no X
-        search runs; both types used to get an exhaustive pass."""
+    def test_table2_certifies_z_only(self, monkeypatch):
+        """No X search runs, also where Z falls short of the published d:
+        row 01's Z search reaches d = 4 exactly, and row 03's stops at the
+        budget below d = 8.  X used to be searched while Z fell short."""
         kinds, search = [], cp.distance_exhaustive
 
         def recorded(code, kind, *args, **kwargs):
@@ -759,8 +777,10 @@ class TestFixturesAndTable:
             return search(code, kind, *args, **kwargs)
 
         monkeypatch.setattr(cp, "distance_exhaustive", recorded)
-        rc, out = run(["table2", "1", "--iterations", "2"])
-        assert rc == EXIT_OK and json.loads(out)["d_status"] == "exact"
+        rc, out = run(["table2", "1", "3", "--iterations", "0"])
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert rc == EXIT_OK and rows[0]["d_status"] == "exact"
+        assert rows[1]["d_status"].startswith("upper-bound only")
         assert kinds and set(kinds) == {"Z"}
 
     @pytest.mark.parametrize("w, iterations", sorted(ROW01_AT_BUDGET))

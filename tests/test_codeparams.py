@@ -170,6 +170,32 @@ class TestDistanceRandomized:
         cp.distance_randomized(row1, "Z", 3, seed=5)
         assert seeds == [[5, 0]]
 
+    @pytest.mark.parametrize("name, kind, iterations, seed, stop_at", [
+        ("tt72", "X", 30, 0, 12), ("table2_row13", "X", 30, 2, 12),
+    ])
+    def test_stop_at_witness_is_first_in_support_order(self, name, kind, iterations,
+                                                       seed, stop_at):
+        """The passes stop after the first whose hit weighs <= ``stop_at``,
+        and the witness is the first in support order among that pass's
+        lightest hits, as without ``stop_at``.  It used to be the first in
+        int order, which on tt72 X is another one."""
+        code = build_from_config(load_fixture(f"{name}.json"))
+        h, stab = cp._select_check_pair(code, kind)
+        gen, trivial = kernel_basis(h).to_dense(), rref(stab)
+        rng = np.random.default_rng([seed, 0])
+        best_w, lightest = h.cols + 1, []
+        for _ in range(iterations):
+            hits = [(w, sup) for w, sup in reference_isd_pass(gen, rng, best_w)
+                    if not in_rowspace(trivial, sup)]
+            if hits:
+                best_w = min(w for w, _ in hits)
+                lightest = [sup for w, sup in hits if w == best_w]
+                if best_w <= stop_at:
+                    break
+        bound = cp.distance_randomized(code, kind, iterations, seed, stop_at=stop_at)
+        assert bound.upper == best_w <= stop_at
+        assert bound.witness == min(map(cp._support_key, lightest))
+
 
 def reference_escalate(code, err_type, bound, iterations, seed):
     """The escalation without deepening: the exhaustive bound, then the
@@ -304,11 +330,11 @@ class TestIsdPass:
     # come from a heavier one
     @example(k=4, n=9, density=0.5, cut=None, logicals=1, seed=0)
     def test_matches_reference(self, k, n, density, cut, logicals, seed):
-        """The pass lists exactly the reference's candidates lighter than
-        ``best_w``, in ascending order.  An unbounded ``best_w`` falls to one
-        more than the lightest pivot row of the pass outside the row space of
-        ``trivial``, which keeps every candidate as light as the lightest
-        one outside it."""
+        """The pass returns the lightest of the reference's candidates
+        lighter than ``best_w`` and outside the row space of ``trivial``,
+        the least by ``_support_key`` among equal weights, or None.  An
+        unbounded ``best_w`` first falls to one more than the lightest pivot
+        row outside that row space, which loses no such candidate."""
         gen = (np.random.default_rng(seed).random((k, n)) < density).astype(np.uint8)
         # all but the last few generators span the trivial row space, as the
         # stabilizers of a code with that many logicals would
@@ -316,17 +342,14 @@ class TestIsdPass:
         best_w = n + 1 if cut is None else min(cut, n + 1)
         rng_new = np.random.default_rng([seed, 1])
         rng_ref = np.random.default_rng([seed, 1])
-        got = list(cp._isd_pass(BitMatrix.from_dense(gen), rng_new, best_w, trivial))
-        want = sorted(reference_isd_pass(gen, rng_ref, best_w))
-        if best_w > n:
-            perm = np.random.default_rng([seed, 1]).permutation(n).tolist()
-            rows = gf2._eliminate(BitMatrix.from_dense(gen), perm).pivot_rows
-            best_w = min((a.bit_count() + 1 for a in rows
-                          if not in_rowspace(trivial, a)), default=best_w)
-        assert got == [(w, sup) for w, sup in want if w < best_w]
-        useful = [w for w, sup in want if not in_rowspace(trivial, sup)]
-        if useful:
-            assert len(got) >= sum(w <= useful[0] for w, _ in want)
+        got = cp._isd_pass(BitMatrix.from_dense(gen), rng_new, best_w, trivial)
+        hits = [(w, sup) for w, sup in reference_isd_pass(gen, rng_ref, best_w)
+                if not in_rowspace(trivial, sup)]
+        want = None
+        if hits:
+            w = min(w for w, _ in hits)
+            want = w, min((sup for v, sup in hits if v == w), key=cp._support_key)
+        assert got == want
         # one permutation per pass: both streams end in the same state
         assert rng_new.integers(2**62) == rng_ref.integers(2**62)
 
@@ -427,19 +450,19 @@ class TestSyndromeEnumeration:
 
 
 def reference_single_shot(code, check_type, w_max, iterations, seed):
-    """The single-shot distance with its original information-set loop: a
-    hit replaces the best only when strictly lighter, so the first hit of
-    each weight is kept."""
+    """The single-shot distance with its original information-set loop over
+    the reference pass: a hit replaces the best only when strictly lighter,
+    so the first hit of each weight in (weight, support-int) order is kept."""
     m, p = (code.m_x, code.p_x) if check_type == "X" else (code.m_z, code.p_z)
     bound = cp.single_shot_distance(code, check_type, w_max)
-    gen = kernel_basis(m)
-    if bound.upper is not None or gen.rows == 0:
+    gen = kernel_basis(m).to_dense()
+    if bound.upper is not None or not len(gen):
         return bound
     valid = rref(transpose(p))
     best_w, best_sup = m.cols + 1, None
     rng = np.random.default_rng([seed, 0])
     for _ in range(iterations):
-        for w, sup in cp._isd_pass(gen, rng, best_w, valid):
+        for w, sup in sorted(reference_isd_pass(gen, rng, best_w)):
             if w >= best_w:
                 break
             if not in_rowspace(valid, sup):

@@ -83,6 +83,15 @@ sorted keys:
 * ``test_search_stream_digest`` and ``test_confinement_search_stream_digest``
   run the benchmark's search config, at two workers: their reports are those
   of one worker, and the footer still records ``"workers": 2``.
+
+One pin was re-recorded on purpose when an information-set pass began to
+return its own best hit: the ``STOP_AT`` witness of tt72 X.  The passes
+still stop after the first whose hit weighs <= ``stop_at``, but among that
+pass's lightest hits the witness is now the first in lexicographic support
+order, as it is without ``stop_at``, not the first in int order.  Its
+weight 12 is unchanged, and [6, 8, 18, ...] sorts before the old
+[9, 11, 18, ...].  No command prints it: only ``table2`` passes
+``stop_at``, and its rows print no witness.
 """
 
 import dataclasses
@@ -132,8 +141,9 @@ RANDOMIZED = {
     ("tt72", "Z", 7): {"lower": 1, "upper": 6, "witness": [0, 4, 8, 52, 57, 60]},
 }
 
-# (fixture, type, iterations, seed, stop_at) -> bound.  Both cases
-# stop early on a witness that a full run would replace.
+# (fixture, type, iterations, seed, stop_at) -> bound.  Row 13 stops early
+# on a bound that a full run would lower; tt72 stops after the pass that
+# first reaches weight 12, whose witness a full run keeps.
 STOP_AT = {
     ("table2_row13", "X", 30, 2, 12): {
         "lower": 1, "upper": 12,
@@ -141,7 +151,7 @@ STOP_AT = {
     },
     ("tt72", "X", 30, 0, 12): {
         "lower": 1, "upper": 12,
-        "witness": [9, 11, 18, 19, 21, 22, 50, 52, 60, 61, 62, 65],
+        "witness": [6, 8, 18, 21, 22, 23, 49, 51, 61, 62, 64, 65],
     },
 }
 
