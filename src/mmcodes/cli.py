@@ -500,6 +500,8 @@ def main(argv=None, out=None) -> int:
             sys.stderr.write(f"hint: lower {_CONFINE_FLAG[args.command]}\n")
         elif isinstance(exc, cp.BudgetExceeded):  # the group size has no flag
             hints = [f"lower {flag}"] if (flag := _WEIGHT_FLAG.get(args.command)) else []
+            if getattr(args, "ss_w", None):  # params' single-shot search weight
+                hints.append("--ss-w")
             if args.command != "search":  # search runs at the default budget
                 hints.append("raise MMCODES_BUDGET")
             sys.stderr.write(f"hint: {' or '.join(hints)}\n")

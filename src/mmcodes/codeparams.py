@@ -4,8 +4,8 @@ distances, confinement profiles, and check-weight statistics.
 Distance search works in two regimes:
 
 * exhaustive: a depth-first search that follows the syndrome
-  (``low_weight_kernel_vectors``), rooted at the block origins when the
-  checks are translation invariant, finds every minimal kernel vector of
+  (``low_weight_kernel_vectors``), rooted at the block origins on the
+  codes of ``koszul.build_code``, finds every minimal kernel vector of
   weight <= w_max up to translation, and so the lightest logical up to it;
 * randomized: information-set style sampling over the kernel basis, giving
   upper bounds only; each pass (``_isd_pass``) returns its best hit outside
@@ -190,43 +190,11 @@ def logical_count(code: MCssCode) -> int:
     return code.n - rank(code.p_x) - rank(code.p_z)
 
 
-def _translation_roots(code: MCssCode, h: BitMatrix, stab: BitMatrix) -> range:
-    """Columns at which every set of columns of ``h`` has a translate rooted.
-
-    Columns (qubits, or the checks a metacheck reads) come in blocks of
-    |G| = ``code.spec.size``.  If shifting every block by one unit of each
-    cyclic factor (these shifts generate G) permutes the rows of ``h`` and
-    of ``stab``, then so does every g in G, and the block origins b*|G| are
-    returned; otherwise every column.
-
-    A unit shift of the factor of order o and stride s (the product of the
-    orders after it) moves a column of digit d < o - 1 up by s and one of
-    digit o - 1 down by s*(o - 1): it maps a row r to ``(r & ~last) << s |
-    (r & last) >> s*(o - 1)``, ``last`` the mask of the columns of digit
-    o - 1.  It permutes the rows iff the shifted rows, sorted, equal the
-    sorted rows.  The answer is kept on ``code`` per (h, stab), so each
-    pair is checked once."""
-    key = (h, stab)
-    if key not in code._roots:
-        n, size = h.cols, code.spec.size
-        invariant = not n % size and _shift_invariant(code.spec.orders, h, stab)
-        code._roots[key] = range(0, n, size) if invariant else range(n)
-    return code._roots[key]
-
-
-def _shift_invariant(orders, h: BitMatrix, stab: BitMatrix) -> bool:
-    """Whether each unit shift of ``_translation_roots`` permutes the rows
-    of ``h`` and of ``stab``, whose column count is a multiple of |G|."""
-    rows = [sorted(m.ints) for m in (h, stab)]
-    stride = 1
-    for order in reversed(orders):
-        drop, period = stride * (order - 1), stride * order
-        last = sum(((1 << stride) - 1) << (drop + k) for k in range(0, h.cols, period))
-        for want in rows:
-            if sorted((r & ~last) << stride | (r & last) >> drop for r in want) != want:
-                return False
-        stride = period
-    return True
+def _translation_roots(code: MCssCode, h: BitMatrix) -> range:
+    """Columns at which every set of columns of ``h`` has a translate
+    rooted: the block origins b*|G| on a ``circulant`` code (see
+    ``koszul.build_code``), else every column."""
+    return range(0, h.cols, code.spec.size) if code.circulant else range(h.cols)
 
 
 def distance_exhaustive(
@@ -240,12 +208,13 @@ def distance_exhaustive(
     ``_select_check_pair``), the lightest v != 0 with h v^T = 0 outside the
     row space of stab, the first in lexicographic support order among equal
     weights; its lower bound is certified, found or not.  Rooted at
-    ``_translation_roots``: that v's least column is a root, else its
+    ``_translation_roots``: on a ``circulant`` code translations map h and
+    stab onto themselves, so that v's least column is a root, else its
     translate to the block origin, also a logical, would precede it."""
     h, stab = _select_check_pair(code, kind)
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
-    kv = low_weight_kernel_vectors(h, w_max, _translation_roots(code, h, stab), budget)
+    kv = low_weight_kernel_vectors(h, w_max, _translation_roots(code, h), budget)
     trivial = rref(stab)
     for w in sorted(kv):
         for v in kv[w]:
@@ -455,14 +424,14 @@ def confinement_profile(
     errors are recovered by the min-plus closure (syndrome weight and
     reduced weight add across syndrome-disjoint components).
 
-    Exact mode walks the clusters rooted at block origins.  This is
-    complete: translating every qubit block by the same g in G maps the
-    checks of ``h`` and the stabilizers onto themselves (all blocks are
-    circulants of G), so it keeps a cluster's weight, syndrome weight,
+    Exact mode walks the clusters rooted at ``_translation_roots``: at
+    block origins on a ``circulant`` code, else at every qubit.  This is
+    complete: on such a code, translating every qubit block by the same g
+    in G maps the checks of ``h`` and the stabilizers onto themselves (see
+    ``koszul.build_code``), so it keeps a cluster's weight, syndrome weight,
     irreducibility and connectivity, and keeps each qubit in its block.  A
     cluster whose minimum qubit is b*|G| + j has a translate, by -j, whose
-    minimum is the origin b*|G|.  ``_translation_roots`` checks this
-    invariance and falls back to every qubit when it does not hold.
+    minimum is the origin b*|G|.
 
     The walk, ``_clusters``, is ESU (Wernicke, IEEE/ACM TCBB 3(4), 2006) on
     int masks and reaches each cluster C, of minimum r, exactly once.  A
@@ -538,7 +507,7 @@ def confinement_profile(
             cut[j] = max(best[w] + (w - j) * gamma for w in range(j + 1, w_max + 1))
 
     if mode == "exact":
-        roots = _translation_roots(code, h, stab)
+        roots = _translation_roots(code, h)
         for k, word in _clusters(nbr, w_max, roots, cols, low, best, cut):
             consider(k, word)
     else:

@@ -117,9 +117,9 @@ def verify_complex(maps: list[BitMatrix]) -> bool:
 class MCssCode:
     """CSS code with optional metachecks extracted from a chain complex.
 
-    ``_roots`` keeps the answers of ``codeparams._translation_roots``,
-    keyed by its (h, stab) matrices; ``dataclasses.replace`` starts an
-    empty one."""
+    ``circulant`` marks the codes of ``build_code``, whose four matrices
+    every translation by G maps onto themselves.  It is no init field, so
+    ``extract_mcss`` alone and ``dataclasses.replace`` leave it False."""
 
     n: int
     p_x: BitMatrix
@@ -127,17 +127,15 @@ class MCssCode:
     m_x: BitMatrix | None
     m_z: BitMatrix | None
     spec: GroupSpec
-    generators: tuple[RingElem, ...]
     t: int
     q: int
-    _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    circulant: bool = field(default=False, init=False, compare=False)
 
 
 def extract_mcss(
     maps: list[BitMatrix],
     t: int,
     spec: GroupSpec,
-    gens: list[RingElem],
     q_override: int | None = None,
 ) -> MCssCode:
     """Pick qubits in degree q and read the check/metacheck matrices off the
@@ -162,7 +160,6 @@ def extract_mcss(
         m_x=m_x,
         m_z=m_z,
         spec=spec,
-        generators=tuple(gens),
         t=t,
         q=q,
     )
@@ -184,12 +181,22 @@ def build_code(
     q_override: int | None = None,
 ) -> tuple[MCssCode, list[BitMatrix]]:
     """Full pipeline: symbolic maps, circulant instantiation, chain-condition
-    check, mCSS extraction.  Returns the code and the instantiated maps."""
+    check, mCSS extraction.  Returns the code and the instantiated maps.
+
+    The code is marked ``circulant``: every block of every map is the
+    circulant of a ring element, whose entry (r, c) depends on c - r in G
+    alone.  So translating every block of |G| rows and every block of |G|
+    columns by the same g leaves each map as it is: a translation of the
+    columns alone permutes the rows, and one of the rows alone permutes
+    the columns.  P_X, P_Z, M_X, M_Z and their transposes are maps or
+    transposed maps, so a translation of the columns of any of them maps
+    its rows onto themselves."""
     t = len(gens)
     _check_size(t, spec.size)
     sym = symbolic_boundaries(t)
     maps = instantiate(sym, gens, spec)
     if not verify_complex(maps):
         raise KoszulError("chain condition failed: some d_k d_{k+1} != 0")
-    code = extract_mcss(maps, t, spec, gens, q_override)
+    code = extract_mcss(maps, t, spec, q_override)
+    object.__setattr__(code, "circulant", True)
     return code, maps

@@ -15,13 +15,12 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from math import comb, prod
 
 import numpy as np
 
 from . import codeparams as cp
 from .circulant import SizeBudgetExceeded
-from .koszul import CHAIN_DIM_CAP, _check_size, build_code
+from .koszul import CHAIN_DIM_CAP, _check_size, build_code, chain_dims
 from .ring import GroupSpec, RingElem, RingError, parse_poly, render
 
 
@@ -100,6 +99,7 @@ class SearchConfig:
             raise SearchError("max_candidates must be >= 0")
         if not self.orders:
             raise SearchError("need at least one candidate order tuple")
+        w = self.confinement_w_max
         for order in self.orders:
             spec = GroupSpec(order)
             try:
@@ -115,6 +115,9 @@ class SearchConfig:
                 except (RingError, SearchError) as exc:
                     raise SearchError(f"structured_families[{i}] over orders "
                                       f"{list(order)}: {exc}") from None
+            if w is not None and w > (n := chain_dims(self.t, spec.size)[self.t // 2]):
+                raise SearchError(f"confinement_w_max {w} exceeds the {n} qubits "
+                                  f"of the codes of orders {list(order)}")
         if self.seed < 0:
             raise SearchError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
@@ -125,15 +128,8 @@ class SearchConfig:
                 f"bad distance_budget {self.distance_budget}: need "
                 "w_exhaustive >= 1 and iterations >= 0"
             )
-        w = self.confinement_w_max
         if w is not None and w < 1:
             raise SearchError("confinement_w_max must be >= 1")
-        if w is not None:
-            for order in self.orders:
-                n = comb(self.t, self.t // 2) * prod(order)
-                if w > n:
-                    raise SearchError(f"confinement_w_max {w} exceeds the {n} qubits "
-                                      f"of the codes of orders {list(order)}")
 
     @classmethod
     def from_dict(cls, doc) -> SearchConfig:

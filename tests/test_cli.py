@@ -421,13 +421,17 @@ class TestBadInput:
         assert "hint: raise MMCODES_BUDGET" in err and "--w-" not in err
         assert "w_max" not in err
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["params", ROW13, "--w-exhaustive", "4"], "--w-exhaustive"),
-        (["ssdist", ROW13, "--type", "Z", "--w-max", "4"], "--w-max"),
-    ], ids=["params", "ssdist"])
-    def test_budget_hint_names_the_command_option(self, argv, flag, monkeypatch,
-                                                  capsys):
-        monkeypatch.setenv("MMCODES_BUDGET", "100")
+    @pytest.mark.parametrize("argv, flag, budget", [
+        (["params", ROW13, "--w-exhaustive", "4"], "--w-exhaustive", "100"),
+        (["ssdist", ROW13, "--type", "Z", "--w-max", "4"], "--w-max", "100"),
+        # weight 1 is charged the n = 324 steps; the single-shot search at
+        # weight 4 is the one refused
+        (["params", ROW13, "--w-exhaustive", "1", "--ss-w", "4"],
+         "--w-exhaustive or --ss-w", "324"),
+    ], ids=["params", "ssdist", "params-ss-w"])
+    def test_budget_hint_names_the_command_option(self, argv, flag, budget,
+                                                  monkeypatch, capsys):
+        monkeypatch.setenv("MMCODES_BUDGET", budget)
         rc, out = run(argv)
         err = capsys.readouterr().err
         assert rc == EXIT_BUDGET and out == ""

@@ -12,7 +12,7 @@ from mmcodes import codeparams as cp
 from mmcodes import gf2
 from mmcodes.cli import build_from_config, fixture_names, load_fixture
 from mmcodes.gf2 import BitMatrix, in_rowspace, kernel_basis, mat_mul, rref, transpose
-from mmcodes.koszul import build_code
+from mmcodes.koszul import build_code, extract_mcss
 from mmcodes.ring import GroupSpec, RingElem, parse_poly
 from mmcodes.search import SearchConfig, evaluate_candidate
 
@@ -426,10 +426,10 @@ class TestSyndromeEnumeration:
                               if m is not None]
         for kind in kinds:
             h, stab = cp._select_check_pair(code, kind)
-            roots = cp._translation_roots(code, h, stab)
+            roots = cp._translation_roots(code, h)
             assert roots == range(0, h.cols, code.spec.size)
         anchored = [cp.distance_exhaustive(code, kind, 4) for kind in kinds]
-        monkeypatch.setattr(cp, "_translation_roots", lambda _, h, stab: range(h.cols))
+        monkeypatch.setattr(cp, "_translation_roots", lambda _, h: range(h.cols))
         every = [cp.distance_exhaustive(code, kind, 4) for kind in kinds]
         assert anchored == every
 
@@ -680,8 +680,9 @@ def draw_generators(data, spec, t):
 
 
 class TestTranslationRoots:
-    """``_translation_roots`` (int rows, kept on the code) against the
-    dense check in ``conftest.reference_translation_roots``."""
+    """``_translation_roots`` trusts the ``circulant`` mark of
+    ``build_code``; the dense check ``conftest.reference_translation_roots``
+    tests the claim behind it."""
 
     def test_every_fixture_pair(self):
         """All 105 pairs of the 30 fixtures; about 0.6 s."""
@@ -690,9 +691,9 @@ class TestTranslationRoots:
                  for h, stab in code_pairs(code)]
         assert len(pairs) == 105
         for code, h, stab in pairs:
-            want = reference_translation_roots(code, h, stab)
-            assert cp._translation_roots(code, h, stab) == want
-            assert cp._translation_roots(code, h, stab) == want  # from the cache
+            origins = range(0, h.cols, code.spec.size)
+            assert reference_translation_roots(code, h, stab) == origins
+            assert cp._translation_roots(code, h) == origins
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -700,23 +701,46 @@ class TestTranslationRoots:
         t=st.integers(2, 4),
         data=st.data(),
     )
-    def test_random_codes(self, orders, t, data):
-        """``build_code`` codes, which are invariant, and the same codes
-        with their qubits permuted, which mostly are not; about 0.3 s."""
+    def test_built_codes_are_invariant(self, orders, t, data):
+        """Every pair of a ``build_code`` code, at any q, is rooted at the
+        block origins, and the dense check agrees; about 0.3 s."""
         spec = GroupSpec(tuple(orders))
         assume(2 <= spec.size <= 12)
         gens = draw_generators(data, spec, t)
         code, _ = build_code(gens, spec, q_override=data.draw(st.integers(1, t - 1)))
-        if data.draw(st.booleans()):
-            perm = data.draw(st.permutations(range(code.n)))
-            code = dataclasses.replace(
-                code,
-                p_x=BitMatrix.from_dense(code.p_x.to_dense()[:, perm]),
-                p_z=BitMatrix.from_dense(code.p_z.to_dense()[:, perm]),
-            )
+        assert code.circulant
         for h, stab in code_pairs(code):
-            assert cp._translation_roots(code, h, stab) == (
-                reference_translation_roots(code, h, stab))
+            origins = range(0, h.cols, spec.size)
+            assert reference_translation_roots(code, h, stab) == origins
+            assert cp._translation_roots(code, h) == origins
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        orders=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        t=st.integers(2, 4),
+        data=st.data(),
+    )
+    def test_replaced_and_extracted_codes_are_unmarked(self, orders, t, data):
+        """Codes whose matrices ``replace`` permuted, by the identity and by
+        a drawn permutation, and the code ``extract_mcss`` makes from the
+        maps of a built one are unmarked: every column of each pair is a
+        root."""
+        spec = GroupSpec(tuple(orders))
+        assume(2 <= spec.size <= 12)
+        gens = draw_generators(data, spec, t)
+        q = data.draw(st.integers(1, t - 1))
+        built, maps = build_code(gens, spec, q_override=q)
+        codes = [extract_mcss(maps, t, spec, q)]
+        for perm in (range(built.n), data.draw(st.permutations(range(built.n)))):
+            codes.append(dataclasses.replace(
+                built,
+                p_x=BitMatrix.from_dense(built.p_x.to_dense()[:, list(perm)]),
+                p_z=BitMatrix.from_dense(built.p_z.to_dense()[:, list(perm)]),
+            ))
+        for code in codes:
+            assert not code.circulant
+            for h, _ in code_pairs(code):
+                assert cp._translation_roots(code, h) == range(h.cols)
 
 
 def test_no_matrix_is_reduced_twice(monkeypatch):
@@ -867,24 +891,23 @@ class TestConfinement:
         w_max = data.draw(st.integers(3, 4 if code.n <= 24 else 3))
         for et in ("X", "Z"):
             h, stab = cp._select_check_pair(code, et)
-            assert cp._translation_roots(code, h, stab) == range(0, code.n, spec.size)
+            assert cp._translation_roots(code, h) == range(0, code.n, spec.size)
             anchored = cp.confinement_profile(code, et, w_max)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cp, "_translation_roots",
-                           lambda code, h, stab: range(h.cols))
+                mp.setattr(cp, "_translation_roots", lambda code, h: range(h.cols))
                 assert cp.confinement_profile(code, et, w_max) == anchored
 
     def test_relabelled_qubits_are_not_anchored(self):
         # Swapping qubits 0 and 5 breaks translation invariance: both block
         # origins (qubits 0 and 4) now hold weight-3 columns of P_X, while the
         # lightest columns have weight 2, so rooting at the origins alone
-        # would miss the lightest single-qubit Z error.  The original code's
-        # roots are asked for first, so a cache that outlived ``replace``
-        # would answer with its block origins.
+        # would miss the lightest single-qubit Z error.  The original code is
+        # marked, so a mark that ``replace`` copied would root the relabelled
+        # code at its block origins.
         original = make([4], ["1+x", "1+x+x^2"])
         for et in ("X", "Z"):
             h, stab = cp._select_check_pair(original, et)
-            assert cp._translation_roots(original, h, stab) == range(0, 8, 4)
+            assert cp._translation_roots(original, h) == range(0, 8, 4)
         perm = [5, 1, 2, 3, 4, 0, 6, 7]
         code = dataclasses.replace(
             original,
@@ -893,7 +916,7 @@ class TestConfinement:
         )
         for et in ("X", "Z"):
             h, stab = cp._select_check_pair(code, et)
-            assert cp._translation_roots(code, h, stab) == range(code.n)
+            assert cp._translation_roots(code, h) == range(code.n)
             assert reference_translation_roots(code, h, stab) == range(code.n)
             got = cp.confinement_profile(code, et, 3)
             assert got.entries == brute_confinement(code, et, 3)

@@ -201,7 +201,7 @@ class TestExtract:
         gens = [parse_poly("1+x", spec)] * 2
         maps = instantiate(symbolic_boundaries(2), gens, spec)
         with pytest.raises(KoszulError):
-            extract_mcss(maps, 2, spec, gens, q_override=2)
+            extract_mcss(maps, 2, spec, q_override=2)
 
     def test_qubit_count_law(self):
         code, _ = make([2, 2, 3], ["1+x", "1+y", "1+z", "1+x*y"][:3])

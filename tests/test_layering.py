@@ -1,8 +1,8 @@
 """Only ``gf2`` moves matrices between int rows and dense arrays: every
 other module builds, transforms and scores them as int rows, and uses
 numpy only to draw random numbers.  Every private function has a caller in
-``src``.  Only the engines that charge an enumeration name its charge.
-Under 0.1 s."""
+``src``.  Only the engines that charge an enumeration name its charge, and
+only ``koszul.build_code`` marks a code ``circulant``.  Under 0.1 s."""
 
 import ast
 from pathlib import Path
@@ -17,15 +17,19 @@ DENSE_EDGE = {"from_dense", "to_dense"}
 NUMPY_OUTSIDE_GF2 = {"random"}
 
 
+def name_of(node) -> str | None:
+    """The name of an attribute, name or import-alias node, else None."""
+    return (node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name)
+            else node.name if isinstance(node, ast.alias) else None)
+
+
 def dense_edge_uses(path: Path) -> list[str]:
     """``name:line`` for each attribute, name or imported alias in the
     module that is ``from_dense`` or ``to_dense``."""
     out = []
     for node in ast.walk(ast.parse(path.read_text())):
-        name = (node.attr if isinstance(node, ast.Attribute)
-                else node.id if isinstance(node, ast.Name)
-                else node.name if isinstance(node, ast.alias) else None)
-        if name in DENSE_EDGE:
+        if (name := name_of(node)) in DENSE_EDGE:
             out.append(f"{name}:{node.lineno}")
     return out
 
@@ -84,10 +88,7 @@ def unused_private_functions(sources: dict[str, str]) -> list[str]:
                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
                      and f.name.startswith("_") and not f.name.startswith("__")]
         for node in ast.walk(tree):
-            name = (node.attr if isinstance(node, ast.Attribute)
-                    else node.id if isinstance(node, ast.Name)
-                    else node.name if isinstance(node, ast.alias) else None)
-            if name is not None:
+            if (name := name_of(node)) is not None:
                 uses.setdefault(name, []).append((mod, node.lineno))
     return [f"{mod}:{f.name}" for mod, f in defs
             if all(m == mod and f.lineno <= line <= f.end_lineno
@@ -117,26 +118,26 @@ def test_the_caller_walk_sees_an_unused_helper():
 CHARGED = {"low_weight_kernel_vectors", "confinement_profile"}
 
 
+def scoped_nodes(text: str):
+    """Each node of the module ``text`` with the name of its innermost
+    enclosing function (``<module>`` at module level)."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+            else:
+                yield child, scope
+                yield from walk(child, scope)
+
+    return walk(ast.parse(text), "<module>")
+
+
 def charge_uses(sources: dict[str, str]) -> list[str]:
     """``module:function`` for each use of ``_enum_cost`` in ``sources``
-    outside its own definition, by the innermost enclosing function
-    (``<module>`` at module level)."""
-    out = []
-    for mod, text in sources.items():
-        def walk(node, scope):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    walk(child, child.name)
-                    continue
-                name = (child.attr if isinstance(child, ast.Attribute)
-                        else child.id if isinstance(child, ast.Name)
-                        else child.name if isinstance(child, ast.alias) else None)
-                if name == "_enum_cost" and scope != "_enum_cost":
-                    out.append(f"{mod}:{scope}")
-                walk(child, scope)
-
-        walk(ast.parse(text), "<module>")
-    return out
+    outside its own definition, by the innermost enclosing function."""
+    return [f"{mod}:{scope}" for mod, text in sources.items()
+            for node, scope in scoped_nodes(text)
+            if name_of(node) == "_enum_cost" and scope != "_enum_cost"]
 
 
 def test_only_the_charged_engines_name_the_charge():
@@ -151,3 +152,43 @@ def test_the_charge_walk_sees_a_caller():
                     "def f(budget):\n    def g():\n        return a._enum_cost(3)\n"
                     "    return g\n\nX = _enum_cost(2)\n"}
     assert charge_uses(sources) == ["a:g", "a:<module>"]
+
+
+# ``koszul.MCssCode.circulant`` roots every search at block origins, so the
+# one function that builds codes from circulant blocks sets it.
+MARK = "circulant"
+
+
+def mark_setters(sources: dict[str, str]) -> list[str]:
+    """``module:function`` for each ``setattr`` or ``object.__setattr__``
+    call naming the attribute ``circulant``, and each store to an attribute
+    of that name, in ``sources``, by the innermost enclosing function."""
+    out = []
+    for mod, text in sources.items():
+        for node, scope in scoped_nodes(text):
+            sets = (isinstance(node, ast.Call)
+                    and name_of(node.func) in ("setattr", "__setattr__")
+                    and any(isinstance(a, ast.Constant) and a.value == MARK
+                            for a in node.args[1:2]))
+            stores = (isinstance(node, ast.Attribute) and node.attr == MARK
+                      and isinstance(node.ctx, ast.Store))
+            if sets or stores:
+                out.append(f"{mod}:{scope}")
+    return out
+
+
+def test_only_build_code_marks_a_code():
+    """A code marked anywhere else would be rooted at block origins without
+    the construction that makes them enough."""
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert mark_setters(sources) == ["koszul:build_code"]
+
+
+def test_the_mark_walk_sees_each_setter():
+    sources = {"a": "def build_code(c):\n    object.__setattr__(c, 'circulant', True)\n\n"
+                    "def f(c):\n    setattr(c, 'circulant', True)\n"
+                    "    setattr(c, 'other', c.circulant)\n\n"
+                    "def g(c):\n    c.circulant = True\n"
+                    "    c.other, c.circulant = 1, 2\n\n"
+                    "c.circulant = False\n"}
+    assert mark_setters(sources) == ["a:build_code", "a:f", "a:g", "a:g", "a:<module>"]
