@@ -20,8 +20,8 @@ from pathlib import Path
 from . import codeparams as cp
 from . import formats
 from .circulant import SizeBudgetExceeded
-from .gf2 import GF2Error
-from .koszul import KoszulError, MCssCode, build_code, chain_dims
+from .gf2 import BitMatrix, GF2Error, mat_mul, transpose
+from .koszul import KoszulError, MCssCode, build_code, chain_dims, verify_complex
 from .ring import GroupSpec, ParseError, RingError, parse_poly
 from .search import (
     SearchConfig, SearchError, _checked, _is_int, _is_list, _is_str, run_search,
@@ -104,11 +104,15 @@ def config_from_dict(doc: dict, default_name: str = "") -> BuildConfig:
     return BuildConfig(**{"name": default_name, **fields, "variables": variables})
 
 
-def build_from_config(cfg: BuildConfig) -> MCssCode:
+def _build(cfg: BuildConfig) -> tuple[MCssCode, list[BitMatrix]]:
+    """``koszul.build_code`` on the config: the code and its maps."""
     spec = GroupSpec(cfg.orders)
     gens = [parse_poly(g, spec, cfg.variables) for g in cfg.generators]
-    code, _ = build_code(gens, spec, q_override=cfg.q_override)
-    return code
+    return build_code(gens, spec, q_override=cfg.q_override)
+
+
+def build_from_config(cfg: BuildConfig) -> MCssCode:
+    return _build(cfg)[0]
 
 
 def _load_code(path: str) -> tuple[BuildConfig, MCssCode]:
@@ -198,15 +202,21 @@ def cmd_build(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    # build_code asserts the chain condition and all orthogonality
-    # conditions; reaching this point means they hold.
-    cfg, code = _load_code(args.config)
+    """Multiply out the built maps and the code's matrices: the chain
+    condition d_k d_{k+1} = 0 for every k, and P_X P_Z^T = 0, M_X P_X = 0
+    and M_Z P_Z = 0 where the metachecks exist."""
+    cfg = load_config(args.config)
+    code, maps = _build(cfg)
+    products = [(code.p_x, transpose(code.p_z)), (code.m_x, code.p_x),
+                (code.m_z, code.p_z)]
+    chain = verify_complex(maps)
+    orthogonal = all(mat_mul(a, b).is_zero() for a, b in products if a is not None)
     _emit(
         {
             "name": cfg.name,
             "n": code.n,
-            "chain_condition": True,
-            "orthogonality": True,
+            "chain_condition": chain,
+            "orthogonality": orthogonal,
             "metachecks": {
                 "m_x": code.m_x is not None,
                 "m_z": code.m_z is not None,
@@ -214,7 +224,7 @@ def cmd_verify(args, out) -> int:
         },
         out,
     )
-    return EXIT_OK
+    return EXIT_OK if chain and orthogonal else EXIT_VERIFY
 
 
 def _confinement_w(code: MCssCode, w: int | None, command: str) -> int | None:
@@ -248,11 +258,12 @@ def cmd_distance(args, out) -> int:
     cfg, code = _load_code(args.config)
     budget, kind = enum_budget(), args.kind_prefix + args.type
     try:
-        bound = cp.distance_exhaustive(code, kind, args.w_max, budget)
+        found = cp._lightest(code, kind, args.w_max, budget)
     except cp.MetacheckAbsent as exc:
         _emit({"name": cfg.name, "error": str(exc)}, out)
         return EXIT_VERIFY
-    bound = cp._escalate(code, kind, bound, args.iterations, args.seed, budget=budget)
+    bound, _ = cp._escalate(code, kind, found, args.iterations, args.seed,
+                            budget=budget)
     _emit({"name": cfg.name, "type": args.type, **bound.to_dict()}, out)
     return EXIT_OK
 
@@ -336,13 +347,17 @@ def cmd_table2(args, out) -> int:
         code = build_from_config(cfg)
         k = cp.logical_count(code)
         d_pub = pub["d"]
-        # Z is certified from weight 1 at any --iterations; the passes hunt
-        # only for the published d.  Each row has t = 4 and q = 2, where the
-        # transposed complex is that of the generators' antipodes, a qubit
-        # permutation of this one: d_X = d_Z, so Z's bound is the row's.
-        bound = cp.distance_exhaustive(code, "Z", 1, budget)
-        bound = cp._escalate(code, "Z", cp._deepen(code, "Z", bound, budget),
-                             args.iterations, args.seed, stop_at=d_pub, budget=budget)
+        # Certified from weight 1 at any --iterations; the passes hunt only
+        # for the published d.  The row's bounds are the least of X's and
+        # Z's, and a mirrored X has Z's (``codeparams._mirror``).
+        bounds = []
+        for kind in cp._searched(code, ("X", "Z")):
+            found = cp._deepen(code, kind, cp._lightest(code, kind, 1, budget), budget)
+            bounds.append(cp._escalate(code, kind, found, args.iterations, args.seed,
+                                       stop_at=d_pub, budget=budget)[0])
+        bound = cp.DistanceBound(
+            lower=min(b.lower for b in bounds),
+            upper=min((b.upper for b in bounds if b.upper is not None), default=None))
         weights = [w for m in (code.p_x, code.p_z) for w in m.row_weights()]
         lower_med, arith_med = _medians(weights)
         checks = {

@@ -14,6 +14,14 @@ Distance search works in two regimes:
 Escalating from the first to the second (``_escalate``) deepens the
 exhaustive search one weight at a time while the budget allows
 (``_deepen``), so the passes run only past the budget.
+
+On a ``self_dual`` code (even t, q = t/2) the reports search only the Z
+side, Z and ssZ, and mirror X's and ssX's bounds from it (``_mirror``):
+the same lower and upper bounds, and as witness the least, in support
+order, of the translates of the relabelled Z-side supports.  For a bound
+of the exhaustive search those supports are every rooted logical of its
+weight, so the witness is the one X's own search returns; for one of the
+information-set passes it is Z's one witness, relabelled and translated.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 
 from .circulant import _count_text
 from .gf2 import BitMatrix, _eliminate, kernel_basis, in_rowspace, rank, rref, transpose
-from .koszul import MCssCode
+from .koszul import MCssCode, _relabelling
 
 # The version of the reports' and manifests' JSON layout.
 SCHEMA_VERSION = 1
@@ -71,6 +79,12 @@ class DistanceBound:
 
     def to_dict(self) -> dict:
         return _plain(self)
+
+
+# A bound and its supports, the logicals its witness is the least of: each
+# one of its weight rooted at a block origin for the exhaustive search, the
+# one witness for the information-set passes (``_lightest``, ``_escalate``).
+_Found = tuple[DistanceBound, list[tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -197,6 +211,25 @@ def _translation_roots(code: MCssCode, h: BitMatrix) -> range:
     return range(0, h.cols, code.spec.size) if code.circulant else range(h.cols)
 
 
+def _lightest(
+    code: MCssCode, kind: str, w_max: int, budget: int = DEFAULT_ENUM_BUDGET,
+) -> _Found:
+    """``distance_exhaustive``'s bound and its supports: every logical of
+    the bound's weight that the search found, in support order, the first
+    of which is the witness; none if it found no logical.  The search finds
+    every such logical rooted at ``_translation_roots``: a lightest logical
+    is minimal (see ``low_weight_kernel_vectors``)."""
+    h, stab = _select_check_pair(code, kind)
+    if w_max < 1:
+        raise ValueError("w_max must be >= 1")
+    kv = low_weight_kernel_vectors(h, w_max, _translation_roots(code, h), budget)
+    trivial = rref(stab)
+    for w in sorted(kv):
+        if hits := [_support_key(v) for v in kv[w] if not in_rowspace(trivial, v)]:
+            return DistanceBound(lower=w, upper=w, witness=hits[0]), hits
+    return DistanceBound(lower=w_max + 1, upper=None, witness=None), []
+
+
 def distance_exhaustive(
     code: MCssCode,
     kind: str,
@@ -211,16 +244,7 @@ def distance_exhaustive(
     ``_translation_roots``: on a ``circulant`` code translations map h and
     stab onto themselves, so that v's least column is a root, else its
     translate to the block origin, also a logical, would precede it."""
-    h, stab = _select_check_pair(code, kind)
-    if w_max < 1:
-        raise ValueError("w_max must be >= 1")
-    kv = low_weight_kernel_vectors(h, w_max, _translation_roots(code, h), budget)
-    trivial = rref(stab)
-    for w in sorted(kv):
-        for v in kv[w]:
-            if not in_rowspace(trivial, v):
-                return DistanceBound(lower=w, upper=w, witness=_support_key(v))
-    return DistanceBound(lower=w_max + 1, upper=None, witness=None)
+    return _lightest(code, kind, w_max, budget)[0]
 
 
 def _isd_pass(gen: BitMatrix, rng: np.random.Generator, best_w: int,
@@ -291,43 +315,109 @@ def distance_randomized(
     return DistanceBound(lower=1, upper=best_w, witness=_support_key(best_sup))
 
 
-def _deepen(code: MCssCode, kind: str, bound: DistanceBound,
-            budget: int = DEFAULT_ENUM_BUDGET) -> DistanceBound:
-    """``bound`` if it has a witness or the pair (h, stab) of ``kind`` has
-    no logicals (dim ker h <= rank stab; for X and Z, k = 0), where no level
-    would end; else ``distance_exhaustive`` rerun at w = bound.lower,
-    bound.lower + 1, ... until a level finds a logical, returned as exact,
-    or ``low_weight_kernel_vectors`` refuses a level's charge.  Each level
-    certifies its weight: ``bound.lower`` is certified, so a level that
-    finds nothing rules out every logical of weight <= w, one that finds
-    one finds it at weight w, and a refused level's w is ``bound.lower``.
-    With logicals a level ends it: none weighs more than h.cols."""
-    if bound.upper is not None:
-        return bound
+def _deepen(code: MCssCode, kind: str, found: _Found,
+            budget: int = DEFAULT_ENUM_BUDGET) -> _Found:
+    """``found``, a bound and its supports (see ``_lightest``), if the bound
+    has a witness or the pair (h, stab) of ``kind`` has no logicals (dim
+    ker h <= rank stab; for X and Z, k = 0), where no level would end; else
+    ``_lightest`` rerun at w = lower, lower + 1, ... until a level finds a
+    logical, returned as exact, or ``low_weight_kernel_vectors`` refuses a
+    level's charge.  Each level certifies its weight: the lower bound is
+    certified, so a level that finds nothing rules out every logical of
+    weight <= w, one that finds one finds it at weight w, and a refused
+    level's w is the lower bound.  With logicals a level ends it: none
+    weighs more than h.cols."""
+    if found[0].upper is not None:
+        return found
     h, stab = _select_check_pair(code, kind)
     if h.cols - rank(h) > rank(stab):
         with suppress(BudgetExceeded):
-            while bound.upper is None:
-                bound = distance_exhaustive(code, kind, bound.lower, budget)
-    return bound
+            while found[0].upper is None:
+                found = _lightest(code, kind, found[0].lower, budget)
+    return found
 
 
 def _escalate(
-    code: MCssCode, kind: str, bound: DistanceBound, iterations: int,
+    code: MCssCode, kind: str, found: _Found, iterations: int,
     seed: int, stop_at: int | None = None,
     budget: int = DEFAULT_ENUM_BUDGET,
-) -> DistanceBound:
-    """``bound`` if ``iterations < 1``; else ``bound`` deepened (``_deepen``)
-    and, if no logical turns up, given the upper bound and witness of
-    ``distance_randomized``, if any.  The one place that decides between
-    the two, for every ``kind`` of ``_select_check_pair``."""
+) -> _Found:
+    """``found``, a bound and its supports (see ``_lightest``), if
+    ``iterations < 1``; else ``found`` deepened (``_deepen``) and, if no
+    logical turns up, given the upper bound and witness of
+    ``distance_randomized``, if any, with that witness as its one support.
+    The one place that decides between the two, for every ``kind`` of
+    ``_select_check_pair``."""
     if iterations < 1:
-        return bound
-    bound = _deepen(code, kind, bound, budget)
-    if bound.upper is not None:
-        return bound
+        return found
+    found = _deepen(code, kind, found, budget)
+    if found[0].upper is not None:
+        return found
     r = distance_randomized(code, kind, iterations, seed, stop_at)
-    return replace(r, lower=bound.lower)
+    return replace(r, lower=found[0].lower), [r.witness] if r.witness else []
+
+
+def _searched(code: MCssCode, kinds) -> list[str]:
+    """The kinds among ``kinds`` to search: on a ``self_dual`` code the
+    Z-side ones alone, whose X-side twins ``_mirrored`` fills in."""
+    return [k for k in kinds if not (code.self_dual and k.endswith("X"))]
+
+
+def _mirrored(code: MCssCode, found: dict[str, _Found]) -> dict[str, DistanceBound]:
+    """The bound of each kind of ``found`` (kind -> a bound and its
+    supports) and, on a ``self_dual`` code, of each one's X-side twin
+    (``_mirror``)."""
+    out = {kind: bound for kind, (bound, _) in found.items()}
+    if code.self_dual:
+        out |= {kind.replace("Z", "X"): _mirror(code, kind, f)
+                for kind, f in found.items()}
+    return out
+
+
+def _mirror(code: MCssCode, kind: str, found: _Found) -> DistanceBound:
+    """On a ``self_dual`` code, the bound of the X-side twin of ``kind``
+    ("X" of "Z", "ssX" of "ssZ") from ``found``, kind's bound and supports
+    (see ``_lightest`` and ``_escalate``): the same lower and upper bounds,
+    and as witness the least, in support order, of the translates of the
+    supports' images under ``koszul._relabelling`` (of the qubits, degree
+    q, for Z; of the checks, degree q + 1, for ssZ).
+
+    The relabelling maps the rows of kind's h onto those of the twin's h,
+    and the rows of kind's stab onto those of the twin's stab, so it maps
+    the one stab's row space onto the other's and kind's logicals of each
+    weight onto the twin's: the bounds hold for both.  A bound of the
+    exhaustive search has every logical of its weight rooted at a block
+    origin as supports: a lightest logical is minimal, so the search finds
+    each one so rooted, and each translate class has one (see
+    ``distance_exhaustive``).  The relabelling sends a
+    translate by g to a translate by -g, so the translates of the images
+    are every lightest logical of the twin, and their least is the twin's
+    own witness: the twin's search returns the least of its rooted
+    lightest logicals, and the least of all of them is rooted.  A bound of
+    the information-set passes has its one witness as support, whose least
+    translated image is a twin logical of the same weight.  The least
+    translate of a set has its least element at the lowest block's origin,
+    so only the images reaching that block are translated, each by the
+    shifts taking one of its elements in that block there."""
+    bound, supports = found
+    if not supports:
+        return bound
+    spec, n = code.spec, code.spec.size
+    perm = _relabelling(code.t, code.q + (kind == "ssZ"), spec)
+    images = [[perm[i] for i in support] for support in supports]
+    origin = min(map(min, images)) // n * n
+    exps = [spec.index_to_exponents(g) for g in range(n)]
+
+    def translates(image):
+        for j in image:
+            if j < origin + n:
+                shift = exps[j - origin]
+                yield tuple(sorted(
+                    i - i % n + spec.monomial_index(
+                        tuple(a - b for a, b in zip(exps[i % n], shift)))
+                    for i in image))
+
+    return replace(bound, witness=min(t for image in images for t in translates(image)))
 
 
 def single_shot_distance(
@@ -343,8 +433,8 @@ def single_shot_distance(
     That is the distance problem of the pair (M, P^T), kind "ss" +
     ``check_type``, searched up to w_max and escalated like any other."""
     kind = "ss" + check_type
-    bound = distance_exhaustive(code, kind, w_max, budget)
-    return _escalate(code, kind, bound, iterations, seed, budget=budget)
+    found = _lightest(code, kind, w_max, budget)
+    return _escalate(code, kind, found, iterations, seed, budget=budget)[0]
 
 
 # ---- confinement ------------------------------------------------------
@@ -596,10 +686,14 @@ def _report(
     """The report on ``code`` from its bounds keyed by kind (see
     ``_select_check_pair``; a single-shot kind may be absent), adding the
     confinement profiles up to ``confinement_w`` (none when None), ``d_s``
-    and the check weights."""
+    and the check weights.  On a ``self_dual`` code the relabelling of
+    ``_mirror`` maps X's confinement problem onto Z's, so X's profile is
+    Z's."""
     conf = {et: None if confinement_w is None else
             confinement_profile(code, et, confinement_w)
-            for et in ("X", "Z")}
+            for et in _searched(code, ("X", "Z"))}
+    if code.self_dual:
+        conf["X"] = conf["Z"]
     return CodeReport(
         name=name, n=code.n, k=k, d_x=d["X"], d_z=d["Z"], d_ss_x=d.get("ssX"),
         d_ss_z=d.get("ssZ"), confinement_x=conf["X"], confinement_z=conf["Z"],
@@ -620,15 +714,16 @@ def analyze(
 ) -> CodeReport:
     """Run the full parameter pipeline with the given search budgets: the X
     and Z distances up to ``w_exhaustive`` and, if ``ss_w`` is set, the
-    single-shot distances up to it where a metacheck exists."""
+    single-shot distances up to it where a metacheck exists; on a
+    ``self_dual`` code the Z-side ones alone, X's mirrored."""
     k = logical_count(code)
-    bounds = {}
-    for et, m in (("X", code.m_x), ("Z", code.m_z)):
-        b = distance_exhaustive(code, et, w_exhaustive, budget)
-        bounds[et] = _escalate(code, et, b, iterations, seed, budget=budget)
-        if ss_w is not None and m is not None:
-            bounds["ss" + et] = single_shot_distance(code, et, ss_w, iterations, seed,
-                                                     budget)
+    w_max = dict.fromkeys(("X", "Z"), w_exhaustive)
+    if ss_w is not None:
+        w_max |= {"ss" + et: ss_w for et, m in (("X", code.m_x), ("Z", code.m_z))
+                  if m is not None}
+    found = {kind: _escalate(code, kind, _lightest(code, kind, w_max[kind], budget),
+                             iterations, seed, budget=budget)
+             for kind in _searched(code, w_max)}
     params = {"w_exhaustive": w_exhaustive, "iterations": iterations,
               "confinement_w": confinement_w, "ss_w": ss_w}
-    return _report(code, name, k, bounds, confinement_w, seed, params)
+    return _report(code, name, k, _mirrored(code, found), confinement_w, seed, params)

@@ -205,21 +205,23 @@ def evaluate_candidate(
     if k < config.require_k_min:
         return Rejection(2)
     w_exh, iters = config.distance_budget
-    bounds = {}
-    for et in ("X", "Z"):
-        b = cp.distance_exhaustive(code, et, w_exh)
-        if b.upper is not None and b.upper < config.require_d_min:
+
+    def short(found) -> bool:  # a logical lighter than require_d_min
+        return found[0].upper is not None and found[0].upper < config.require_d_min
+
+    found = {}
+    for et in cp._searched(code, ("X", "Z")):
+        found[et] = cp._lightest(code, et, w_exh)
+        if short(found[et]):
             return Rejection(3)
-        bounds[et] = b
-    for et in ("X", "Z"):
-        b = cp._escalate(code, et, bounds[et], iters, config.seed)
-        if b.upper is not None and b.upper < config.require_d_min:
+    for et in found:
+        found[et] = cp._escalate(code, et, found[et], iters, config.seed)
+        if short(found[et]):
             return Rejection(4)
-        bounds[et] = b
     params = {"orders": list(spec.orders), "generators": [render(g) for g in gens],
               "w_exhaustive": w_exh, "iterations": iters}
-    return cp._report(code, "search", k, bounds, config.confinement_w_max,
-                      config.seed, params)
+    return cp._report(code, "search", k, cp._mirrored(code, found),
+                      config.confinement_w_max, config.seed, params)
 
 
 def _usable_cpus() -> int:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from mmcodes import codeparams as cp
-from mmcodes import formats
+from mmcodes import formats, koszul
 from mmcodes.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -107,7 +107,24 @@ class TestVerifyParams:
         rc, out = run(["verify", row1_config])
         assert rc == EXIT_OK
         doc = json.loads(out)
-        assert doc["chain_condition"] and doc["orthogonality"]
+        assert doc["chain_condition"] is True and doc["orthogonality"] is True
+
+    def test_verify_measures_the_built_maps(self, row1_config, monkeypatch):
+        """``build_code`` checks the chain condition once per t on the
+        symbolic grid, so ``verify`` multiplies out the built maps: with the
+        generators rotated in every map but d_1, it reports both conditions
+        false and exits 1."""
+        instantiate = koszul.instantiate
+
+        def rotated(sym, gens, spec):
+            return instantiate(sym, gens, spec)[:1] + \
+                instantiate(sym, gens[1:] + gens[:1], spec)[1:]
+
+        monkeypatch.setattr(koszul, "instantiate", rotated)
+        rc, out = run(["verify", row1_config])
+        doc = json.loads(out)
+        assert rc == EXIT_VERIFY
+        assert doc["chain_condition"] is False and doc["orthogonality"] is False
 
     def test_params_report(self, row1_config):
         rc, out = run(
@@ -760,27 +777,25 @@ class TestFixturesAndTable:
         assert rows[0]["d_status"] == "exact"
 
     def test_table2_rows_have_q_half_of_even_t(self):
-        """``table2`` certifies Z alone and reports Z's bound as the row's.
-        That holds because every row has even t and q = t/2: transposing
-        the Koszul complex gives that of the generators' antipodes with
-        degrees reversed, a qubit permutation of the same code, so its X
-        problem is its Z problem."""
+        """Every row has even t and q = t/2, so every row's code is marked
+        ``self_dual`` and ``table2`` certifies its Z distance alone."""
         for name in fixture_names():
             if name.startswith("table2_row"):
                 cfg = load_fixture(name)
                 assert cfg.t % 2 == 0 and cfg.q_override in (None, cfg.t // 2)
+                assert build_from_config(cfg).self_dual
 
     def test_table2_certifies_z_only(self, monkeypatch):
         """No X search runs, also where Z falls short of the published d:
         row 01's Z search reaches d = 4 exactly, and row 03's stops at the
         budget below d = 8.  X used to be searched while Z fell short."""
-        kinds, search = [], cp.distance_exhaustive
+        kinds, search = [], cp._lightest
 
         def recorded(code, kind, *args, **kwargs):
             kinds.append(kind)
             return search(code, kind, *args, **kwargs)
 
-        monkeypatch.setattr(cp, "distance_exhaustive", recorded)
+        monkeypatch.setattr(cp, "_lightest", recorded)
         rc, out = run(["table2", "1", "3", "--iterations", "0"])
         rows = [json.loads(line) for line in out.splitlines()]
         assert rc == EXIT_OK and rows[0]["d_status"] == "exact"

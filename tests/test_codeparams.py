@@ -14,9 +14,9 @@ from mmcodes.cli import build_from_config, fixture_names, load_fixture
 from mmcodes.gf2 import BitMatrix, in_rowspace, kernel_basis, mat_mul, rref, transpose
 from mmcodes.koszul import build_code, extract_mcss
 from mmcodes.ring import GroupSpec, RingElem, parse_poly
-from mmcodes.search import SearchConfig, evaluate_candidate
+from mmcodes.search import Rejection, SearchConfig, evaluate_candidate
 
-from conftest import oracle_rank, reference_translation_roots, to_int
+from conftest import oracle_in_rowspace, oracle_rank, reference_translation_roots, to_int
 
 
 def make(orders, polys, names=None, q=None):
@@ -216,11 +216,15 @@ def check_escalation(code, err_type, w_exh, iterations, seed, budget):
     h, stab = (m.to_dense() for m in cp._select_check_pair(code, err_type))
     n = h.shape[1]
     has_logicals = n - oracle_rank(h) > oracle_rank(stab)
-    exhaustive = cp.distance_exhaustive(code, err_type, w_exh)
+    found = cp._lightest(code, err_type, w_exh)
+    exhaustive = found[0]
+    assert exhaustive == cp.distance_exhaustive(code, err_type, w_exh)
     old = reference_escalate(code, err_type, exhaustive, iterations, seed)
-    new = cp._escalate(code, err_type, exhaustive, iterations, seed, 1, budget=budget)
-    unsampled = cp._escalate(code, err_type, exhaustive, 0, seed, 1, budget=budget)
-    assert unsampled == exhaustive
+    new, supports = cp._escalate(code, err_type, found, iterations, seed, 1,
+                                 budget=budget)
+    assert cp._escalate(code, err_type, found, 0, seed, 1, budget=budget) == found
+    # the witness is the first of the supports
+    assert new.witness == (supports[0] if supports else None)
     assert new.lower >= old.lower
     if old.upper is not None:
         assert new.upper is not None and new.upper <= old.upper
@@ -228,10 +232,11 @@ def check_escalation(code, err_type, w_exh, iterations, seed, budget):
     w_stop = old.lower if not has_logicals else next(
         (w for w in range(old.lower, n + 1) if cp._enum_cost(n, w) > budget), n + 1)
     if new.lower < w_stop:
-        assert new == cp.distance_exhaustive(code, err_type, new.upper)
+        assert (new, supports) == cp._lightest(code, err_type, new.upper)
     else:
         assert new.lower == w_stop
         assert (new.upper, new.witness) == (old.upper, old.witness)
+        assert supports == ([old.witness] if old.witness else [])
         assert cp.distance_exhaustive(code, err_type, new.lower - 1).upper is None
 
 
@@ -743,6 +748,138 @@ class TestTranslationRoots:
                 assert cp._translation_roots(code, h) == range(h.cols)
 
 
+EVEN_T = [name.removesuffix(".json") for name in fixture_names()
+          if load_fixture(name).t % 2 == 0]
+
+
+def z_kinds(code):
+    """The Z-side kinds of ``code``: Z, and ssZ where M_Z exists."""
+    return ["Z"] + (["ssZ"] if code.m_z is not None else [])
+
+
+def dense_support(n, support):
+    v = np.zeros(n, dtype=np.uint8)
+    v[list(support)] = 1
+    return v
+
+
+class TestMirror:
+    """On a ``self_dual`` code the reports search the Z side alone and
+    ``_mirror`` X's bounds from it; each mirror is checked here against
+    the X-side search it replaces."""
+
+    @pytest.mark.parametrize("name", EVEN_T)
+    def test_mirror_of_the_deepened_search_is_the_direct_one(self, name):
+        """On every even-t fixture, Z's (ssZ's) search from weight 1,
+        deepened within the default budget, mirrors to what X's (ssX's)
+        own search returns at the last weight searched, witness included:
+        a lightest logical where the search reaches one (on 12 of the 29
+        fixtures for Z, on 18 of the 22 with metachecks for ssZ), else the
+        certified lower bound.  About 0.8 s."""
+        code = build_from_config(load_fixture(f"{name}.json"))
+        assert code.self_dual
+        for kind in z_kinds(code):
+            found = cp._deepen(code, kind, cp._lightest(code, kind, 1))
+            bound = found[0]
+            w = bound.upper or bound.lower - 1
+            assert cp._mirror(code, kind, found) == cp.distance_exhaustive(
+                code, kind.replace("Z", "X"), w)
+
+    @pytest.mark.parametrize("name", EVEN_T)
+    def test_x_profile_of_the_report_is_the_direct_one(self, name):
+        """On every even-t fixture the report's X confinement profile, Z's,
+        is X's own at w = 3.  About 0.6 s."""
+        code = build_from_config(load_fixture(f"{name}.json"))
+        report = cp.analyze(code, w_exhaustive=1, confinement_w=3)
+        assert report.confinement_x == cp.confinement_profile(code, "X", 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(orders=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           t=st.sampled_from([2, 4]), data=st.data())
+    def test_mirror_matches_the_direct_search_on_random_codes(self, orders, t, data):
+        """Small random self-dual codes, at w = 1-4: X's (ssX's) own
+        search and the mirror of Z's (ssZ's) agree, witness included, and
+        the reports' X confinement profile is the one computed directly."""
+        spec = GroupSpec(tuple(orders))
+        assume(2 <= spec.size <= (8 if t == 4 else 12))
+        code, _ = build_code(draw_generators(data, spec, t), spec)
+        assert code.self_dual
+        w = data.draw(st.integers(1, 4))
+        for kind in z_kinds(code):
+            found = cp._lightest(code, kind, w)
+            assert cp._mirror(code, kind, found) == cp.distance_exhaustive(
+                code, kind.replace("Z", "X"), w)
+        w_conf = min(w, code.n)
+        report = cp.analyze(code, w_exhaustive=1, confinement_w=w_conf)
+        assert report.confinement_x == cp.confinement_profile(code, "X", w_conf)
+
+    @settings(max_examples=20, deadline=None)
+    @given(orders=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+           t=st.sampled_from([2, 4]), data=st.data())
+    def test_x_and_z_distances_agree_by_brute_force(self, orders, t, data):
+        """d_X = d_Z on self-dual codes of at most 12 qubits, by
+        enumerating every vector."""
+        spec = GroupSpec(tuple(orders))
+        assume(2 <= spec.size <= (2 if t == 4 else 6))
+        code, _ = build_code(draw_generators(data, spec, t), spec)
+        dx, dz = (brute_force_distance(code, et) for et in ("X", "Z"))
+        assert (dx and dx[0]) == (dz and dz[0])
+
+    @pytest.mark.parametrize("name", [
+        "bga16", "mb48", "toric4d", "table2_row01", "table2_row03", "table2_row05",
+        "table2_row09", "table2_row13",
+    ])
+    def test_mirrored_isd_witness_is_an_x_logical(self, name):
+        """With a budget of the search up to w = 2, the deepening stops at
+        3 and Z's (ssZ's) bound comes from the information-set passes: its
+        mirrored witness is an X (ssX) logical of the reported weight,
+        checked with dense arithmetic."""
+        code = build_from_config(load_fixture(f"{name}.json"))
+        for kind in z_kinds(code):
+            h, stab = cp._select_check_pair(code, kind.replace("Z", "X"))
+            budget = cp._enum_cost(h.cols, 2)
+            found = cp._escalate(code, kind, cp._lightest(code, kind, 1, budget), 10, 0,
+                                 budget=budget)
+            mirrored = cp._mirror(code, kind, found)
+            assert (mirrored.lower, mirrored.upper) == (found[0].lower, found[0].upper)
+            if mirrored.upper is None or mirrored.upper <= 2:
+                continue  # found by the exhaustive search, checked above
+            assert found[1] == [found[0].witness]
+            v = dense_support(h.cols, mirrored.witness)
+            assert len(mirrored.witness) == mirrored.upper
+            assert not (h.to_dense() @ v % 2).any()
+            assert not oracle_in_rowspace(stab.to_dense(), v)
+
+    @pytest.mark.parametrize("which", ["tt72", "q_override"])
+    def test_unmarked_codes_search_both_sides(self, which, monkeypatch):
+        """Codes with odd t (tt72), or with q != t/2, are not marked:
+        ``analyze`` and ``evaluate_candidate`` search their X side too."""
+        cfg = load_fixture("tt72.json")
+        spec = GroupSpec(cfg.orders)
+        gens = [parse_poly(g, spec, cfg.variables) for g in cfg.generators]
+        if which == "tt72":
+            code, _ = build_code(gens, spec)
+        else:
+            code = make([2, 3], ["1+x", "1+y", "1+x*y", "1+x*y^2"], q=1)
+        assert not code.self_dual
+        kinds, search = [], cp._lightest
+
+        def recorded(code, kind, *args, **kwargs):
+            kinds.append(kind)
+            return search(code, kind, *args, **kwargs)
+
+        monkeypatch.setattr(cp, "_lightest", recorded)
+        cp.analyze(code, w_exhaustive=2, ss_w=2, confinement_w=2)
+        has_m = {"ssX": code.m_x is not None, "ssZ": code.m_z is not None}
+        assert set(kinds) == {"X", "Z"} | {k for k, m in has_m.items() if m}
+        if which == "tt72":
+            kinds.clear()
+            config = SearchConfig(t=3, orders=(cfg.orders,), require_k_min=0,
+                                  require_d_min=1, distance_budget=(2, 0))
+            assert not isinstance(evaluate_candidate(gens, spec, config), Rejection)
+            assert kinds == ["X", "Z"]
+
+
 def test_no_matrix_is_reduced_twice(monkeypatch):
     """Search's evaluation of an accepted bench candidate (its distances
     reach the information-set passes) and a full tt72 report eliminate
@@ -768,7 +905,9 @@ def test_no_matrix_is_reduced_twice(monkeypatch):
     tt72 = build_from_config(load_fixture("tt72.json"))
     report = cp.analyze(tt72, iterations=5, ss_w=2, confinement_w=3)
     assert report.d_x.upper == 12 and report.d_ss_z.upper == 6
-    assert len(reduced) > 60  # the information-set passes ran
+    # the information-set passes ran: 30 for the candidate's Z (its X is
+    # mirrored) and 5 for tt72's X
+    assert sum(order is not None for *_, order in reduced) == 35
     assert len(set(reduced)) == len(reduced)
 
 

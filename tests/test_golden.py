@@ -92,6 +92,26 @@ order, as it is without ``stop_at``, not the first in int order.  Its
 weight 12 is unchanged, and [6, 8, 18, ...] sorts before the old
 [9, 11, 18, ...].  No command prints it: only ``table2`` passes
 ``stop_at``, and its rows print no witness.
+
+Three pins were re-recorded on purpose when the reports began to search
+only the Z side of ``self_dual`` codes (even t, q = t/2) and to mirror the
+X side from it (``codeparams._mirror``).  A bound of the exhaustive search
+mirrors to the bound and witness X's own search returns, so only X
+witnesses of the information-set passes changed: the mirror relabels and
+translates Z's witness instead of running X's own passes.  Every lower and
+upper bound is unchanged:
+
+* ``test_search_stream_digest`` (677d12aa... -> 875cff88...): d_x of the
+  n = 144, k = 12 report on ``1+z+x*y+x*y*z, 1+y+w*z+w*y*z, 1+w*z, 1+x*z``
+  stays 6..6 (lower from the deepening, which the budget stops at weight
+  6; upper from the passes), witness [24, 27, 30, 33, 126, 129] ->
+  [96, 99, 102, 105, 120, 129]; the other 15 lines are unchanged;
+* ``test_confinement_search_stream_digest`` (25d8542d... -> 7ddb18fa...):
+  the same d_x witness of the same report; the other 5 lines are
+  unchanged;
+* ``params table2_row13 --w-exhaustive 3 --iterations 10 --seed 1``
+  (bd1576aa... -> 16adcaa9...): d_x stays 5..9, witness [28, 32, 33, 37,
+  41, 42, 46, 50, 51] -> [108, 109, 110, 279, 280, 281, 297, 298, 299].
 """
 
 import dataclasses
@@ -166,14 +186,14 @@ SINGLE_SHOT = {
 
 # The benchmark's search workload configuration, at seed 0.
 SEARCH = BENCH_SEARCH
-SEARCH_SHA256 = "677d12aa49abcd42d75957821338c3ee453832a8873fa59af6628da337f40fc0"
+SEARCH_SHA256 = "875cff88f9c306f15914b45aeee20002ece5c1c2d3d4d39b2163642b124460b4"
 
 # The same search, shorter, with confinement profiles on accepted candidates.
 CONFINE_SEARCH = dataclasses.replace(
     SEARCH, distance_budget=(3, 10), max_candidates=12, confinement_w_max=3
 )
 CONFINE_SEARCH_SHA256 = (
-    "25d8542d12ef788841694566551330d98853c8b3ed809f1dd50fb6c89e119c58"
+    "7ddb18fa2ef8e3118dbefe446919a9aa252a0822316dbb047070ef65b699efe0"
 )
 
 # CLI argv (fixture name in place of the config path) -> sha256 of stdout.
@@ -182,7 +202,7 @@ CLI_SHA256 = {
     " --seed 3":
         "6a8bd7064081d8561bb2b636e1584013b9124538468bf5bad067dca190cb3736",
     "params table2_row13 --w-exhaustive 3 --iterations 10 --seed 1":
-        "bd1576aaf1b7e1b0b3a9fc6fa950094fd8cbc27cf07cca4beecc65f981e06838",
+        "16adcaa9e82044802a3c9c61e643c1c4c8621d02e111e40e2213cb26e0ccd522",
     "distance table2_row13 --type X --w-exhaustive 3 --iterations 20 --seed 7":
         "432d81b5198420ff9c0407ec17855028e566bf4df3a2e0e322261db72dc09a09",
     "table2 3 9 13 --iterations 20 --seed 1":

@@ -1,3 +1,4 @@
+import dataclasses
 from math import comb
 
 import numpy as np
@@ -148,6 +149,24 @@ class TestChainCap:
         assert str(info.value) == "group size 5000 exceeds the size budget 4096"
 
 
+class TestChainGrid:
+    @pytest.mark.parametrize("t", range(1, 11))
+    def test_the_koszul_grid_passes(self, t):
+        assert koszul._chain_grid(t) == symbolic_boundaries(t)
+
+    def test_a_wrong_generator_fails(self, monkeypatch):
+        """One cell of the t = 3 degree-2 map given another generator
+        leaves two cells of d_1 d_2 with an unpaired product."""
+        sym = symbolic_boundaries(3)
+        bad = dict(sym.maps[1])
+        cell = next(iter(bad))
+        bad[cell] = bad[cell] % 3 + 1
+        broken = dataclasses.replace(sym, maps=(sym.maps[0], bad, sym.maps[2]))
+        monkeypatch.setattr(koszul, "symbolic_boundaries", lambda t: broken)
+        with pytest.raises(KoszulError, match="t=3 grid"):
+            koszul._chain_grid.__wrapped__(3)
+
+
 class TestVerify:
     def test_correct_family_passes(self):
         _, maps = make([4, 3], ["1+x", "1+x*y^2"])
@@ -238,3 +257,38 @@ def test_random_instances_satisfy_all_conditions(data):
         assert mat_mul(code.m_x, code.p_x).is_zero()
     if code.m_z is not None:
         assert mat_mul(code.m_z, code.p_z).is_zero()
+
+
+def relabelled_rows(m, columns):
+    """The rows of ``m`` with column c moved to ``columns[c]``."""
+    return [sum(1 << columns[c] for c in range(m.cols) if row >> c & 1)
+            for row in m.row_ints()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(t=st.sampled_from([2, 4]), data=st.data())
+def test_relabelling_maps_x_checks_onto_z_checks(t, data):
+    """On codes with t = 2q, relabelling (S, g) to (complement of S, -g)
+    moves row r of P_X, its qubits at degree q relabelled, to the row of
+    P_Z that degree q - 1 relabels r to, and row r of M_X, its checks at
+    degree q - 1 relabelled, to the row of M_Z that degree q - 2 relabels
+    r to.  Each relabelling is a permutation."""
+    spec, gens = data.draw(spec_and_elems(t))
+    code, _ = build_code(gens, spec)
+    q = t // 2
+    assert code.self_dual and code.q == q
+    perms = {k: koszul._relabelling(t, k, spec) for k in range(q - 2, q + 1) if k >= 0}
+    for k, perm in perms.items():
+        assert sorted(perm) == list(range(comb(t, k) * spec.size))
+    pairs = [(code.p_x, code.p_z, q)] + [(code.m_x, code.m_z, q - 1)] * (q >= 2)
+    for mx, mz, k in pairs:
+        rows = relabelled_rows(mx, perms[k])
+        assert [rows[perms[k - 1].index(i)] for i in range(mz.rows)] == mz.row_ints()
+
+
+def test_only_q_half_of_even_t_is_marked_self_dual():
+    spec = GroupSpec((3,))
+    gens = [parse_poly("1+x", spec)] * 4
+    assert [build_code(gens[:t], spec, q)[0].self_dual
+            for t, q in ((2, None), (3, None), (4, None), (4, 1), (4, 2), (4, 3))] == \
+        [True, False, True, False, True, False]

@@ -2,7 +2,8 @@
 other module builds, transforms and scores them as int rows, and uses
 numpy only to draw random numbers.  Every private function has a caller in
 ``src``.  Only the engines that charge an enumeration name its charge, and
-only ``koszul.build_code`` marks a code ``circulant``.  Under 0.1 s."""
+only ``koszul.build_code`` marks a code ``circulant`` or ``self_dual``.
+Under 0.1 s."""
 
 import ast
 from pathlib import Path
@@ -154,41 +155,47 @@ def test_the_charge_walk_sees_a_caller():
     assert charge_uses(sources) == ["a:g", "a:<module>"]
 
 
-# ``koszul.MCssCode.circulant`` roots every search at block origins, so the
-# one function that builds codes from circulant blocks sets it.
-MARK = "circulant"
+# ``koszul.MCssCode.circulant`` roots every search at block origins, and
+# ``self_dual`` has the reports mirror X's bounds from Z's, so the one
+# function that builds codes from circulant blocks sets them.
+MARKS = ("circulant", "self_dual")
 
 
 def mark_setters(sources: dict[str, str]) -> list[str]:
-    """``module:function`` for each ``setattr`` or ``object.__setattr__``
-    call naming the attribute ``circulant``, and each store to an attribute
-    of that name, in ``sources``, by the innermost enclosing function."""
+    """``module:function:mark`` for each ``setattr`` or
+    ``object.__setattr__`` call naming one of ``MARKS``, and each store to
+    an attribute of that name, in ``sources``, by the innermost enclosing
+    function."""
     out = []
     for mod, text in sources.items():
         for node, scope in scoped_nodes(text):
-            sets = (isinstance(node, ast.Call)
-                    and name_of(node.func) in ("setattr", "__setattr__")
-                    and any(isinstance(a, ast.Constant) and a.value == MARK
-                            for a in node.args[1:2]))
-            stores = (isinstance(node, ast.Attribute) and node.attr == MARK
-                      and isinstance(node.ctx, ast.Store))
-            if sets or stores:
-                out.append(f"{mod}:{scope}")
+            if (isinstance(node, ast.Call)
+                    and name_of(node.func) in ("setattr", "__setattr__")):
+                named = [a.value for a in node.args[1:2] if isinstance(a, ast.Constant)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                named = [node.attr]
+            else:
+                named = []
+            out += [f"{mod}:{scope}:{m}" for m in named if m in MARKS]
     return out
 
 
 def test_only_build_code_marks_a_code():
-    """A code marked anywhere else would be rooted at block origins without
-    the construction that makes them enough."""
+    """A code marked anywhere else would be rooted at block origins, or
+    have its X side mirrored, without the construction that makes that
+    sound."""
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
-    assert mark_setters(sources) == ["koszul:build_code"]
+    assert mark_setters(sources) == [f"koszul:build_code:{m}" for m in MARKS]
 
 
 def test_the_mark_walk_sees_each_setter():
-    sources = {"a": "def build_code(c):\n    object.__setattr__(c, 'circulant', True)\n\n"
+    sources = {"a": "def build_code(c):\n    object.__setattr__(c, 'circulant', True)\n"
+                    "    object.__setattr__(c, 'self_dual', True)\n\n"
                     "def f(c):\n    setattr(c, 'circulant', True)\n"
                     "    setattr(c, 'other', c.circulant)\n\n"
                     "def g(c):\n    c.circulant = True\n"
-                    "    c.other, c.circulant = 1, 2\n\n"
-                    "c.circulant = False\n"}
-    assert mark_setters(sources) == ["a:build_code", "a:f", "a:g", "a:g", "a:<module>"]
+                    "    c.other, c.self_dual = 1, 2\n\n"
+                    "c.self_dual = False\n"}
+    assert mark_setters(sources) == [
+        "a:build_code:circulant", "a:build_code:self_dual", "a:f:circulant",
+        "a:g:circulant", "a:g:self_dual", "a:<module>:self_dual"]
