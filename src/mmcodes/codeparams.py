@@ -31,8 +31,6 @@ from contextlib import suppress
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from math import comb, inf
 
-import numpy as np
-
 from .circulant import _count_text
 from .gf2 import BitMatrix, _eliminate, kernel_basis, in_rowspace, rank, rref, transpose
 from .koszul import MCssCode, _relabelling
@@ -247,7 +245,7 @@ def distance_exhaustive(
     return _lightest(code, kind, w_max, budget)[0]
 
 
-def _isd_pass(gen: BitMatrix, rng: np.random.Generator, best_w: int,
+def _isd_pass(gen: BitMatrix, rng: random.Random, best_w: int,
               trivial) -> tuple[int, int] | None:
     """One information-set iteration (Prange): row-reduce with the pivot
     columns in random order (``gf2._eliminate``), and return the lightest
@@ -260,9 +258,11 @@ def _isd_pass(gen: BitMatrix, rng: np.random.Generator, best_w: int,
     than the lightest row outside that row space, which the hit cannot
     outweigh: this caps the candidates a first pass keeps.  The rows of an
     RREF are nonzero and independent, so no candidate is 0 and none
-    repeats.  Draws exactly one ``rng.permutation(gen.cols)``.
+    repeats.  Draws exactly one ``rng.shuffle`` of ``range(gen.cols)``.
     """
-    rows = _eliminate(gen, rng.permutation(gen.cols).tolist()).pivot_rows
+    order = list(range(gen.cols))
+    rng.shuffle(order)
+    rows = _eliminate(gen, order).pivot_rows
     if best_w > gen.cols:
         best_w = next((a.bit_count() + 1 for a in sorted(rows, key=int.bit_count)
                        if not in_rowspace(trivial, a)), best_w)
@@ -293,18 +293,16 @@ def distance_randomized(
     below the best weight so far, so the witness is the first in
     lexicographic support order among the lightest hits of the first pass
     to reach its weight.  The passes stop after one whose hit weighs <=
-    ``stop_at``.  Without a kernel no pass hits.  Deterministic given
-    ``seed``.
+    ``stop_at``.  Without a kernel no pass hits.  The passes draw in turn
+    from one ``random.Random(seed)``, so the bound is fixed by ``seed`` on
+    a given Python.
     """
     h, stab = _select_check_pair(code, kind)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     gen, trivial = kernel_basis(h), rref(stab)
     best_w, best_sup = h.cols + 1, None
-    # Entropy [seed, 0] was the first of the streams the passes were once
-    # split over, and the only one at one worker: every bound recorded at
-    # one worker keeps its draws.
-    rng = np.random.default_rng([seed, 0])
+    rng = random.Random(seed)
     for _ in range(iterations):
         if hit := _isd_pass(gen, rng, best_w, trivial):
             best_w, best_sup = hit

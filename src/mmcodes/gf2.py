@@ -6,24 +6,17 @@ RREF and its transpose are computed on first use and kept on the matrix,
 so every later ``rref``, ``rank``, ``kernel_basis``, ``transpose`` or
 ``col_ints`` of it reuses them.  Filling a cache is idempotent (it stores
 a value determined by the rows), so matrices stay safe to share across
-threads and forked workers.  A row XOR is a
-single big-int operation however many columns the row spans, which beats
-per-column numpy calls on the matrix sizes the distance engines see (tens
-to a few hundred rows).  Row reduction costs, per pivot column, one scan
-for the first row at or below the current rank with that bit set, and one
-list comprehension that XORs the pivot row into every other row holding
-the bit.
-
-numpy touches matrices only here, at the array edge (``from_dense``,
-``to_dense``) and in ``transpose`` and ``kernel_basis`` (up to 3.6x and 8x
-slower on int rows); elsewhere it only draws random numbers.
+threads and forked workers.  A row XOR is a single big-int operation
+however many columns the row spans.  Row reduction costs, per pivot
+column, one scan for the first row at or below the current rank with that
+bit set, and one list comprehension that XORs the pivot row into every
+other row holding the bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from operator import itemgetter
 
 
 class GF2Error(Exception):
@@ -79,30 +72,20 @@ class BitMatrix:
 
     @classmethod
     def from_dense(cls, dense) -> "BitMatrix":
-        arr = np.asarray(dense, dtype=np.uint8) % 2
-        if arr.ndim != 2:
-            raise GF2Error("from_dense expects a 2-D array")
-        packed = np.packbits(arr, axis=1, bitorder="little")
-        buf, nbytes = packed.tobytes(), packed.shape[1]
-        return cls(
-            (int.from_bytes(buf[i * nbytes : (i + 1) * nbytes], "little")
-             for i in range(len(packed))),
-            arr.shape[1],
-        )
+        """Row i holds the entries of ``dense[i]`` mod 2, the rows (lists or
+        the rows of a 2-D array) being of one length; no rows give 0 x 0."""
+        dense = list(dense)
+        cols = len(dense[0]) if dense else 0
+        if any(len(row) != cols for row in dense):
+            raise GF2Error(f"from_dense expects rows of {cols} entries")
+        return cls((sum(1 << j for j, v in enumerate(row) if v % 2)
+                    for row in dense), cols)
 
     # ---- accessors ----------------------------------------------------
 
-    def _row_bytes(self) -> bytes:
-        """Each row as ceil(cols / 8) little-endian bytes, concatenated."""
-        nbytes = (self.cols + 7) // 8
-        return b"".join(x.to_bytes(nbytes, "little") for x in self.ints)
-
-    def to_dense(self) -> np.ndarray:
-        packed = np.frombuffer(self._row_bytes(), dtype=np.uint8)
-        return np.unpackbits(
-            packed.reshape(self.rows, (self.cols + 7) // 8),
-            axis=1, count=self.cols, bitorder="little",
-        )
+    def to_dense(self) -> list[list[int]]:
+        """Row i as the list of its ``cols`` entries, each 0 or 1."""
+        return [[x >> j & 1 for j in range(self.cols)] for x in self.ints]
 
     def row_ints(self) -> list[int]:
         return list(self.ints)
@@ -121,8 +104,11 @@ class BitMatrix:
         return (self.rows, self.cols)
 
     def tobytes(self) -> bytes:
-        """Canonical byte serialization: dims header plus packed row bytes."""
-        return f"{self.rows}x{self.cols}:".encode() + self._row_bytes()
+        """Canonical byte serialization: dims header, then each row as
+        ceil(cols / 8) little-endian bytes."""
+        nbytes = (self.cols + 7) // 8
+        return f"{self.rows}x{self.cols}:".encode() + b"".join(
+            x.to_bytes(nbytes, "little") for x in self.ints)
 
     def __eq__(self, other) -> bool:
         return (
@@ -176,10 +162,19 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 
 def transpose(a: BitMatrix) -> BitMatrix:
-    """The transpose of ``a``, computed once per matrix."""
+    """The transpose of ``a``, computed once per matrix and linked back to
+    it, so that transposing twice returns ``a`` itself."""
     if a._t is None:
-        a._t = BitMatrix.from_dense(a.to_dense().T)
+        a._t = BitMatrix(_transposed(a.ints, a.cols), a.rows)
+        a._t._t = a
     return a._t
+
+
+def _transposed(ints, cols: int) -> list[int]:
+    """The columns of the rows ``ints`` of ``cols`` bits: column j is every
+    ``cols``-th binary digit of the rows joined last row first."""
+    digits = "".join([bin(x | 1 << cols)[3:] for x in reversed(ints)])
+    return [int(digits[cols - 1 - j::cols] or "0", 2) for j in range(cols)]
 
 
 def rref(a: BitMatrix) -> RrefCache:
@@ -221,14 +216,21 @@ def rank(a: BitMatrix) -> int:
 
 
 def kernel_basis(a: BitMatrix) -> BitMatrix:
-    """Rows form a basis of the right null space {v : a v^T = 0}."""
+    """Rows form a basis of the right null space {v : a v^T = 0}: for each
+    free (non-pivot) column f in ascending order, e_f plus e_c for the
+    pivot column c of each RREF row that holds f.  Built by columns: a
+    pivot's column is its row's free digits."""
     cache = rref(a)
-    pivots = np.array(cache.pivot_cols, dtype=np.intp)
-    free = np.setdiff1d(np.arange(a.cols), pivots)
-    basis = np.zeros((len(free), a.cols), dtype=np.uint8)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = cache.rref.to_dense()[: cache.rank, free].T
-    return BitMatrix.from_dense(basis)
+    free = sorted(set(range(a.cols)).difference(cache.pivot_cols))
+    if not free:
+        return BitMatrix.zeros(0, a.cols)
+    pick = itemgetter(*[a.cols - 1 - f for f in reversed(free)])  # of bin(row)
+    cols = [0] * a.cols
+    for i, f in enumerate(free):
+        cols[f] = 1 << i
+    for c, row in zip(cache.pivot_cols, cache.pivot_rows):
+        cols[c] = int("".join(pick(bin(row | 1 << a.cols)[3:])), 2)
+    return BitMatrix(_transposed(cols, len(free)), a.cols)
 
 
 def in_rowspace(cache: RrefCache, v: int) -> bool:

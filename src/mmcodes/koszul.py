@@ -168,7 +168,8 @@ def extract_mcss(
     q_override: int | None = None,
 ) -> MCssCode:
     """Pick qubits in degree q and read the check/metacheck matrices off the
-    surrounding maps.
+    surrounding maps.  P_Z and M_Z are transposed maps, which ``transpose``
+    links back to the maps, so their columns are the maps' rows.
 
     ``maps`` must form a chain complex, as the maps of ``build_code`` do
     (see ``_chain_grid``): the orthogonality conditions P_X P_Z^T =

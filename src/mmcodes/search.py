@@ -13,10 +13,9 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import random
 import re
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import codeparams as cp
 from .circulant import SizeBudgetExceeded
@@ -158,32 +157,27 @@ def _instantiate_template(template: str, spec: GroupSpec, perm) -> RingElem:
     slots = dict.fromkeys(_TEMPLATE_VAR.findall(template))
     if len(slots) > spec.dim:
         raise SearchError(f"needs {len(slots)} distinct variables, has {spec.dim}")
-    assign = {s: f"x{int(k) + 1} " for s, k in zip(slots, perm)}
+    assign = {s: f"x{k + 1} " for s, k in zip(slots, perm)}
     return parse_poly(_TEMPLATE_VAR.sub(lambda m: assign[m.group(1)], template), spec)
 
 
 def sample_generators(
-    config: SearchConfig, spec: GroupSpec, rng: np.random.Generator
+    config: SearchConfig, spec: GroupSpec, rng: random.Random
 ) -> list[RingElem]:
-    """t random generators: term count uniform in term_range, monomials
-    drawn without replacement; or template instances when
-    structured_families is set."""
+    """t random generators drawn from ``rng``: term count uniform in
+    term_range, monomials drawn without replacement; or template instances
+    when structured_families is set, each a uniform family with its
+    placeholders on distinct variables drawn without replacement."""
     if config.structured_families:
         fam = config.structured_families
-        return [
-            _instantiate_template(fam[int(rng.integers(len(fam)))], spec,
-                                  rng.permutation(spec.dim))
-            for _ in range(config.t)
-        ]
-    n = spec.size
-    lo, hi = config.term_range
-    hi = min(hi, n)
+        return [_instantiate_template(rng.choice(fam), spec,
+                                      rng.sample(range(spec.dim), spec.dim))
+                for _ in range(config.t)]
+    lo, hi = config.term_range[0], min(config.term_range[1], spec.size)
     gens = []
     for _ in range(config.t):
-        terms = int(rng.integers(lo, hi + 1))
-        picks = rng.choice(n, size=terms, replace=False)
-        monos = tuple(spec.index_to_exponents(int(j)) for j in picks)
-        gens.append(RingElem(spec, monos))
+        picks = rng.sample(range(spec.size), rng.randint(lo, hi))
+        gens.append(RingElem(spec, tuple(map(spec.index_to_exponents, picks))))
     return gens
 
 
@@ -242,23 +236,22 @@ def run_search(config: SearchConfig, sink=None) -> list[cp.CodeReport]:
     """Evaluate max_candidates random candidates; write each accepted report
     (and a final telemetry record) to sink as JSONL; return the accepts.
 
-    Candidate i draws from the rng stream of entropy (seed, 0, i), which
-    was its stream at one worker when candidates were split over streams;
-    so the reports depend on the seed only.  Candidates are sampled as they
-    are handed out, and each one's ``canonical_key`` is kept to count and
-    skip repeats.  They are evaluated on min(workers, usable CPUs,
-    max_candidates) forked processes, handed out one at a time and
-    collected in candidate order, or in this process when that is one (or
-    this platform has no fork).
+    Every candidate draws, in candidate order and in this process, from one
+    ``random.Random(seed)``, so the reports are fixed by the seed on a
+    given Python.  Candidates are sampled as they are handed out, and each
+    one's ``canonical_key`` is kept to count and skip repeats.  They are
+    evaluated on min(workers, usable CPUs, max_candidates) forked
+    processes, handed out one at a time and collected in candidate order,
+    or in this process when that is one (or this platform has no fork).
     """
     seen: set[tuple] = set()
     duplicates = 0
 
     def candidates():
         nonlocal duplicates
-        for i in range(config.max_candidates):
-            rng = np.random.default_rng([config.seed, 0, i])
-            spec = GroupSpec(config.orders[int(rng.integers(len(config.orders)))])
+        rng = random.Random(config.seed)
+        for _ in range(config.max_candidates):
+            spec = GroupSpec(rng.choice(config.orders))
             gens = sample_generators(config, spec, rng)
             key = canonical_key(spec, gens)
             if key in seen:

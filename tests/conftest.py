@@ -90,6 +90,19 @@ def oracle_in_rowspace(dense: np.ndarray, v: np.ndarray) -> bool:
     return oracle_rank(stacked) == oracle_rank(dense)
 
 
+def dense(m: BitMatrix) -> np.ndarray:
+    """``m`` as a rows x cols uint8 array, from ``BitMatrix.to_dense``."""
+    return np.asarray(m.to_dense(), dtype=np.uint8).reshape(m.shape)
+
+
+def packed(arr: np.ndarray) -> BitMatrix:
+    """The 2-D array ``arr`` mod 2 as a BitMatrix, its rows packed by numpy
+    rather than by ``BitMatrix.from_dense``."""
+    packed_rows = np.packbits(arr % 2, axis=1, bitorder="little")
+    ints = (int.from_bytes(r.tobytes(), "little") for r in packed_rows)
+    return BitMatrix(ints, arr.shape[1])
+
+
 def to_int(v) -> int:
     """A 0/1 vector as the int bitset ``in_rowspace`` takes (bit j = v[j])."""
     return BitMatrix.from_dense([v]).ints[0]
@@ -100,7 +113,7 @@ def random_dense(rng: np.random.Generator, rows: int, cols: int, p=0.4):
 
 
 def random_bitmatrix(rng: np.random.Generator, rows: int, cols: int, p=0.4):
-    return BitMatrix.from_dense(random_dense(rng, rows, cols, p))
+    return packed(random_dense(rng, rows, cols, p))
 
 
 def shift_matrix(order: int, power: int) -> np.ndarray:
@@ -142,37 +155,37 @@ def dense_poly_to_circulant(f, spec) -> BitMatrix:
     """The circulant of ``f`` filled into a dense array column by column:
     column j holds a one at the index each monomial shifts j to."""
     n, orders = spec.size, spec.orders
-    dense = np.zeros((n, n), dtype=np.uint8)
+    arr = np.zeros((n, n), dtype=np.uint8)
     for j in range(n):
         idxs = spec.index_to_exponents(j)
         for mono in f.monomials:
             row = 0
             for k in range(spec.dim):
                 row = row * orders[k] + (idxs[k] + mono[k]) % orders[k]
-            dense[row, j] ^= 1
-    return BitMatrix.from_dense(dense)
+            arr[row, j] ^= 1
+    return packed(arr)
 
 
 def dense_instantiate(sym, gens, spec) -> list[BitMatrix]:
     """The Koszul maps with each circulant block copied into a dense
     array at its grid cell."""
-    circs = [dense_poly_to_circulant(g, spec).to_dense() for g in gens]
+    circs = [dense(dense_poly_to_circulant(g, spec)) for g in gens]
     n = spec.size
     out = []
     for k in range(1, sym.t + 1):
         br, bc = sym.block_shape(k)
-        dense = np.zeros((br * n, bc * n), dtype=np.uint8)
+        arr = np.zeros((br * n, bc * n), dtype=np.uint8)
         for (i, j), s in sym.maps[k - 1].items():
-            dense[i * n : (i + 1) * n, j * n : (j + 1) * n] = circs[s - 1]
-        out.append(BitMatrix.from_dense(dense))
+            arr[i * n : (i + 1) * n, j * n : (j + 1) * n] = circs[s - 1]
+        out.append(packed(arr))
     return out
 
 
 def dense_write_alist(m: BitMatrix) -> str:
     """MacKay alist from the dense array's nonzero positions."""
-    dense = m.to_dense()
-    col_lists = [list(np.nonzero(dense[:, j])[0] + 1) for j in range(m.cols)]
-    row_lists = [list(np.nonzero(dense[i, :])[0] + 1) for i in range(m.rows)]
+    d = dense(m)
+    col_lists = [list(np.nonzero(d[:, j])[0] + 1) for j in range(m.cols)]
+    row_lists = [list(np.nonzero(d[i, :])[0] + 1) for i in range(m.rows)]
     col_w = [len(c) for c in col_lists]
     row_w = [len(r) for r in row_lists]
     lines = [
@@ -190,17 +203,17 @@ def dense_read_alist(text: str) -> BitMatrix:
     """A well-formed alist read into a dense array from its column lists."""
     lines = text.splitlines()
     cols, rows = map(int, lines[0].split())
-    dense = np.zeros((rows, cols), dtype=np.uint8)
+    arr = np.zeros((rows, cols), dtype=np.uint8)
     for j in range(cols):
         for i in (int(v) for v in lines[4 + j].split() if int(v) != 0):
-            dense[i - 1, j] = 1
-    return BitMatrix.from_dense(dense)
+            arr[i - 1, j] = 1
+    return packed(arr)
 
 
 def dense_write_mtx(m: BitMatrix) -> str:
     """MatrixMarket coordinates from the dense array's nonzero positions,
     in row-major order."""
-    rr, cc = np.nonzero(m.to_dense())
+    rr, cc = np.nonzero(dense(m))
     lines = ["%%MatrixMarket matrix coordinate pattern general",
              f"{m.rows} {m.cols} {len(rr)}"]
     lines += [f"{i + 1} {j + 1}" for i, j in zip(rr, cc)]
@@ -211,11 +224,11 @@ def dense_read_mtx(text: str) -> BitMatrix:
     """A well-formed MatrixMarket pattern read into a dense array."""
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("%")]
     rows, cols, _ = map(int, lines[0].split())
-    dense = np.zeros((rows, cols), dtype=np.uint8)
+    arr = np.zeros((rows, cols), dtype=np.uint8)
     for ln in lines[1:]:
         i, j = map(int, ln.split()[:2])
-        dense[i - 1, j - 1] = 1
-    return BitMatrix.from_dense(dense)
+        arr[i - 1, j - 1] = 1
+    return packed(arr)
 
 
 def reference_translation_roots(code, h, stab) -> range:
@@ -231,14 +244,14 @@ def reference_translation_roots(code, h, stab) -> range:
         return sorted(map(bytes, np.packbits(d, axis=1)))
 
     col = np.arange(n)
-    dense = [m.to_dense() for m in (h, stab)]
-    want = [rows(d) for d in dense]
+    arrays = [dense(m) for m in (h, stab)]
+    want = [rows(d) for d in arrays]
     stride = 1
     for order in reversed(code.spec.orders):
         digit = col % size // stride % order
         shift = col + stride * ((digit + 1) % order - digit)
         stride *= order
-        if [rows(d[:, shift]) for d in dense] != want:
+        if [rows(d[:, shift]) for d in arrays] != want:
             return range(n)
     return range(0, n, size)
 

@@ -21,7 +21,7 @@ from mmcodes.koszul import build_code, chain_dims, verify_complex
 from mmcodes.ring import GroupSpec, RingElem, parse_poly, ring_add, ring_mul
 
 from conftest import (
-    oracle_in_rowspace, oracle_rank, random_bitmatrix, random_dense, to_int,
+    dense, oracle_in_rowspace, oracle_rank, random_bitmatrix, random_dense, to_int,
 )
 
 
@@ -178,22 +178,22 @@ def test_criterion_6_property_suites():
         mf, mg = poly_to_circulant(f, spec), poly_to_circulant(g, spec)
         assert mat_mul(mf, mg) == poly_to_circulant(ring_mul(f, g), spec)
         assert BitMatrix.from_dense(
-            mf.to_dense() ^ mg.to_dense()
+            dense(mf) ^ dense(mg)
         ) == poly_to_circulant(ring_add(f, g), spec)
 
     # 500 random matrices: rank / kernel / membership against oracles
     for _ in range(500):
         r = int(rng.integers(1, 65))
         c = int(rng.integers(1, 65))
-        dense = random_dense(rng, r, c)
-        bm = BitMatrix.from_dense(dense)
-        assert rank(bm) == oracle_rank(dense)
+        arr = random_dense(rng, r, c)
+        bm = BitMatrix.from_dense(arr)
+        assert rank(bm) == oracle_rank(arr)
         kb = kernel_basis(bm)
-        assert kb.rows == c - oracle_rank(dense)
+        assert kb.rows == c - oracle_rank(arr)
         if kb.rows:
             assert mat_mul(bm, transpose(kb)).is_zero()
         v = random_dense(rng, 1, c)[0]
-        assert in_rowspace(rref(bm), to_int(v)) == oracle_in_rowspace(dense, v)
+        assert in_rowspace(rref(bm), to_int(v)) == oracle_in_rowspace(arr, v)
 
     # 100 random matrices: alist and mtx round-trips
     for _ in range(100):

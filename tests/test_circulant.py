@@ -11,7 +11,13 @@ from mmcodes.circulant import (
 from mmcodes.gf2 import BitMatrix, DimensionMismatch, mat_mul
 from mmcodes.ring import GroupSpec, RingElem, SpecMismatch, parse_poly, ring_add, ring_mul
 
-from conftest import dense_poly_to_circulant, kron_circulant, shift_matrix, spec_and_elems
+from conftest import (
+    dense,
+    dense_poly_to_circulant,
+    kron_circulant,
+    shift_matrix,
+    spec_and_elems,
+)
 
 
 @st.composite
@@ -44,7 +50,7 @@ def test_identity_polynomial():
 
 def test_single_variable_shift():
     s = GroupSpec((3,))
-    m = poly_to_circulant(parse_poly("x", s), s).to_dense()
+    m = dense(poly_to_circulant(parse_poly("x", s), s))
     expect = np.zeros((3, 3), dtype=np.uint8)
     for j in range(3):
         expect[(j + 1) % 3, j] = 1
@@ -57,7 +63,7 @@ def test_bivariate_kronecker_example():
     # S21^3 (x) I18 + I21 (x) S18^10 + I21 (x) S18^17
     s = GroupSpec((21, 18))
     f = parse_poly("x^3+y^10+y^17", s)
-    got = poly_to_circulant(f, s).to_dense()
+    got = dense(poly_to_circulant(f, s))
     want = kron_circulant((21, 18), [(3, 0), (0, 10), (0, 17)])
     assert got.shape == (378, 378)
     assert np.array_equal(got, want)
@@ -67,7 +73,7 @@ def test_bivariate_kronecker_example():
 @given(sp=spec_and_polys())
 def test_kronecker_oracle_random(sp):
     spec, (f, _) = sp
-    got = poly_to_circulant(f, spec).to_dense()
+    got = dense(poly_to_circulant(f, spec))
     assert np.array_equal(got, kron_circulant(spec.orders, f.monomials))
 
 
@@ -78,7 +84,7 @@ def test_ring_homomorphism(sp):
     mf = poly_to_circulant(f, spec)
     mg = poly_to_circulant(g, spec)
     assert mat_mul(mf, mg) == poly_to_circulant(ring_mul(f, g), spec)
-    summed = BitMatrix.from_dense(mf.to_dense() ^ mg.to_dense())
+    summed = BitMatrix.from_dense(dense(mf) ^ dense(mg))
     assert summed == poly_to_circulant(ring_add(f, g), spec)
 
 
@@ -86,10 +92,10 @@ def test_ring_homomorphism(sp):
 @given(sp=spec_and_polys())
 def test_constant_row_and_column_weight(sp):
     spec, (f, _) = sp
-    dense = poly_to_circulant(f, spec).to_dense()
+    arr = dense(poly_to_circulant(f, spec))
     w = len(f.monomials)
-    assert (dense.sum(axis=0) == w).all()
-    assert (dense.sum(axis=1) == w).all()
+    assert (arr.sum(axis=0) == w).all()
+    assert (arr.sum(axis=1) == w).all()
 
 
 @settings(max_examples=20, deadline=None)
@@ -123,7 +129,7 @@ def test_size_budget():
 def test_commute_check_counterexample():
     s = GroupSpec((4,))
     m = poly_to_circulant(parse_poly("1+x", s), s)
-    perturbed = m.to_dense().copy()
+    perturbed = dense(m)
     perturbed[0, 2] ^= 1
     bad = BitMatrix.from_dense(perturbed)
     shift = poly_to_circulant(parse_poly("x", s), s)

@@ -627,6 +627,25 @@ def run_under_memory_limit(argv, limit, timeout=60):
                           preexec_fn=cap_memory)
 
 
+def test_runs_without_numpy(tmp_path):
+    """With numpy blocked from import, a report and a search still run: the
+    package needs Python alone."""
+    config = tmp_path / "search.json"
+    config.write_text(json.dumps({
+        "t": 4, "orders": [[2, 2, 2, 2]],
+        "structured_families": ["(1+v_a)(1+v_b v_c)", "1+v_a v_b"],
+        "distance_budget": [3, 30], "max_candidates": 5}))
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "from mmcodes.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cp.__file__).parents[1]))
+    for argv in (["params", BGA16, "--iterations", "5", "--ss-w", "2"],
+                 ["search", str(config)]):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout
+
+
 HAAH1024 = str(resources.files("mmcodes") / "fixtures" / "haah1024.json")
 
 

@@ -20,10 +20,12 @@ from mmcodes.gf2 import (
 )
 
 from conftest import (
+    dense,
     naive_mul,
     oracle_in_rowspace,
     oracle_rank,
     oracle_rref,
+    packed,
     random_dense,
     to_int,
 )
@@ -61,7 +63,7 @@ def shaped_matrices(draw):
 class TestBitMatrix:
     def test_dense_round_trip(self, rng):
         d = random_dense(rng, 13, 70)
-        assert np.array_equal(BitMatrix.from_dense(d).to_dense(), d)
+        assert BitMatrix.from_dense(d).to_dense() == d.tolist()
 
     def test_padding_is_zero(self, rng):
         """No row holds a bit at or above ``cols``: ``from_dense`` never
@@ -108,7 +110,7 @@ class TestBitMatrix:
         rows, cols = m.shape
         body = np.packbits(m, axis=1, bitorder="little").tobytes()
         want = f"{rows}x{cols}:".encode() + body
-        assert BitMatrix.from_dense(m).tobytes() == want
+        assert packed(m).tobytes() == want
 
     def test_immutable(self, rng):
         m = BitMatrix.from_dense(random_dense(rng, 3, 3))
@@ -129,7 +131,7 @@ class TestMatMul:
         a = random_dense(rng, 64, 64)
         b = random_dense(rng, 64, 64)
         got = mat_mul(BitMatrix.from_dense(a), BitMatrix.from_dense(b))
-        assert np.array_equal(got.to_dense(), naive_mul(a, b))
+        assert np.array_equal(dense(got), naive_mul(a, b))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch) as ei:
@@ -149,10 +151,10 @@ class TestMatMul:
         r = np.random.default_rng(seed)
         a = random_dense(r, rows, inner, p=density)
         b = random_dense(r, inner, cols, p=0.5)
-        got = mat_mul(BitMatrix.from_dense(a), BitMatrix.from_dense(b))
+        got = mat_mul(packed(a), packed(b))
         assert got.shape == (rows, cols)
         want = (a.astype(np.int64) @ b.astype(np.int64)) % 2
-        assert np.array_equal(got.to_dense(), want)
+        assert np.array_equal(dense(got), want)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -200,14 +202,14 @@ class TestRref:
     @given(m=shaped_matrices())
     def test_matches_dense_gauss_jordan(self, m):
         reduced, pivots, r = oracle_rref(m)
-        cache = rref(BitMatrix.from_dense(m))
-        assert np.array_equal(cache.rref.to_dense(), reduced)
+        cache = rref(packed(m))
+        assert np.array_equal(dense(cache.rref), reduced)
         assert cache.pivot_cols == pivots
         assert cache.rank == r
         assert list(cache.pivot_rows) == cache.rref.row_ints()[:r]
-        kb = kernel_basis(BitMatrix.from_dense(m))
+        kb = kernel_basis(packed(m))
         assert kb.shape == (m.shape[1] - r, m.shape[1])
-        assert not (m.astype(np.int64) @ kb.to_dense().T % 2).any()
+        assert not (m.astype(np.int64) @ dense(kb).T % 2).any()
 
     @settings(max_examples=150, deadline=None)
     @given(m=shaped_matrices(), data=st.data())
@@ -219,8 +221,8 @@ class TestRref:
         reduced, pivots, r = oracle_rref(m[:, order])
         back = np.zeros_like(reduced)
         back[:, order] = reduced
-        got = gf2._eliminate(BitMatrix.from_dense(m), order)
-        assert np.array_equal(got.rref.to_dense(), back)
+        got = gf2._eliminate(packed(m), order)
+        assert np.array_equal(dense(got.rref), back)
         assert got.pivot_cols == tuple(order[c] for c in pivots)
         assert got.rank == r
 
@@ -232,7 +234,7 @@ class TestKernel:
 
     def test_parity_vector(self):
         kb = kernel_basis(BitMatrix.from_dense([[1, 1]]))
-        assert kb.to_dense().tolist() == [[1, 1]]
+        assert kb.to_dense() == [[1, 1]]
 
     @settings(max_examples=40, deadline=None)
     @given(m=dense_matrices(32))
@@ -257,9 +259,9 @@ class TestKernel:
             want[i, f] = 1
             for r, c in enumerate(pivots):
                 want[i, c] = reduced[r, f]
-        kb = kernel_basis(BitMatrix.from_dense(m))
+        kb = kernel_basis(packed(m))
         assert kb.shape == want.shape
-        assert np.array_equal(kb.to_dense(), want)
+        assert np.array_equal(dense(kb), want)
 
 
 class TestInRowspace:
@@ -293,12 +295,22 @@ class TestInRowspace:
 
 class TestTranspose:
     def test_involution(self, rng):
+        """The transpose links back to its matrix: transposing twice returns
+        the matrix itself, and its columns are the transpose's rows."""
         m = BitMatrix.from_dense(random_dense(rng, 11, 67))
-        assert transpose(transpose(m)) == m
+        assert transpose(transpose(m)) is m
+        assert transpose(m).col_ints() == m.row_ints()
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=shaped_matrices())
+    def test_matches_dense_transpose(self, m):
+        t = transpose(packed(m))
+        assert t.shape == m.T.shape
+        assert np.array_equal(dense(t), m.T)
 
     def test_row_vector(self):
         t = transpose(BitMatrix.from_dense([[1, 0, 1]]))
-        assert t.to_dense().tolist() == [[1], [0], [1]]
+        assert t.to_dense() == [[1], [0], [1]]
 
 
 class TestDerivedCaches:
@@ -309,11 +321,11 @@ class TestDerivedCaches:
     @given(m=shaped_matrices())
     def test_rref_is_computed_once(self, m):
         """About 0.1 s."""
-        bm = BitMatrix.from_dense(m)
+        bm = packed(m)
         first = rref(bm)
         assert rref(bm) is first
         reduced, pivots, r = oracle_rref(m)
-        assert np.array_equal(first.rref.to_dense(), reduced)
+        assert np.array_equal(dense(first.rref), reduced)
         assert (first.pivot_cols, first.rank) == (pivots, r)
 
     @settings(max_examples=60, deadline=None)
@@ -321,7 +333,7 @@ class TestDerivedCaches:
     def test_caches_leave_the_value_alone(self, m):
         """``==``, ``hash``, ``repr`` and the pickled bytes are the same
         before and after the caches fill; about 0.1 s."""
-        bm, twin = BitMatrix.from_dense(m), BitMatrix.from_dense(m)
+        bm, twin = packed(m), packed(m)
         before = (hash(bm), repr(bm), pickle.dumps(bm))
         t = transpose(bm)
         assert transpose(bm) is t and transpose(t) == bm
@@ -337,6 +349,6 @@ def test_vstack(rng):
     a = random_dense(rng, 3, 7)
     b = random_dense(rng, 2, 7)
     stacked = vstack([BitMatrix.from_dense(a), BitMatrix.from_dense(b)])
-    assert np.array_equal(stacked.to_dense(), np.vstack([a, b]))
+    assert np.array_equal(dense(stacked), np.vstack([a, b]))
     with pytest.raises(DimensionMismatch):
         vstack([BitMatrix.zeros(1, 3), BitMatrix.zeros(1, 4)])

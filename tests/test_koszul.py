@@ -21,7 +21,7 @@ from mmcodes.koszul import (
 )
 from mmcodes.ring import GroupSpec, RingElem, parse_poly
 
-from conftest import dense_instantiate, spec_and_elems
+from conftest import dense, dense_instantiate, spec_and_elems
 
 
 def make(orders, polys, names=None, q=None):
@@ -230,7 +230,7 @@ class TestExtract:
         # each qubit column of P_X sums the weights of the q generators
         # named by its subset
         code, maps = make([2, 2, 2, 2], ["1+wx", "1+xy", "1+yz", "1+wz"])
-        col_w = code.p_x.to_dense().sum(axis=0)
+        col_w = dense(code.p_x).sum(axis=0)
         assert (col_w == 4).all()  # all generators have weight 2, q = 2
 
 
